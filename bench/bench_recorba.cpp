@@ -4,8 +4,13 @@
 // O((n/B) log_M n). The normalized columns should be ~flat across the n
 // sweep, and the cache column should track (n/B) log_M n across (M, B)
 // choices the algorithm never sees.
+//
+// Both sweeps are recorded as BENCH_recorba.json rows (section "recorba",
+// config "n_sweep" and "M=<bytes>,B=<bytes>"), so the CI snapshot diff
+// gates Lemma 3.1's costs like the other tables.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -25,6 +30,7 @@ int main() {
       vec<obl::Elem> v(in);
       (void)core::detail::orba(v.s(), 7, core::SortParams::auto_for(n));
     });
+    bench::record("recorba", "n_sweep", n, "", m);
     const double dn = double(n);
     std::printf(
         "n=%-7zu W=%-11llu S=%-7llu Q=%-9llu | W/(n lg n)=%-6.2f "
@@ -56,11 +62,15 @@ int main() {
           (void)core::detail::orba(v.s(), 7, core::SortParams::auto_for(n));
         },
         true, M, B);
+    bench::record("recorba",
+                  "M=" + std::to_string(M) + ",B=" + std::to_string(B), n, "",
+                  m);
     std::printf("M=%-8llu B=%-4llu Q=%-9llu  normalized=%.3f\n",
                 (unsigned long long)M, (unsigned long long)B,
                 (unsigned long long)m.misses,
                 double(m.misses) * double(B) /
                     (double(n) * 32.0 * bench::logM(double(n), double(M))));
   }
+  bench::write_json("BENCH_recorba.json");
   return 0;
 }

@@ -389,7 +389,8 @@ class Runtime {
 
   /// Obliviously sort arbitrary records by an extracted integer key,
   /// ascending. `key_of(rec)` must yield a value convertible to uint64_t
-  /// and < 2^64 - 1 (the filler sentinel). The oblivious pipeline runs on
+  /// and < 2^64 - 1 (the filler sentinel; throws std::invalid_argument
+  /// otherwise, in every build type). The oblivious pipeline runs on
   /// (key, index) pairs; the records are then reordered through the index
   /// indirection, so Rec needs no filler encoding, no fixed 32-byte
   /// layout, and no default constructor — only copyability. Ties are
@@ -405,6 +406,17 @@ class Runtime {
     // Validate the per-call backend name even when the input is trivially
     // sorted — a typo'd name must throw regardless of input size.
     const auto sorter = resolve(opts);
+    // Keys are checked before any seed is drawn, so a rejected call leaves
+    // the seed stream (and call-for-call replay) untouched.
+    std::vector<uint64_t> rec_keys(n);
+    for (size_t i = 0; i < n; ++i) {
+      rec_keys[i] = static_cast<uint64_t>(key_of(recs[i]));
+      if (rec_keys[i] == ~uint64_t{0}) {
+        throw std::invalid_argument(
+            "Runtime::sort_records: key 2^64-1 is reserved (the filler "
+            "sentinel)");
+      }
+    }
     if (n <= 1) return;
     const uint64_t s = fresh_seed();
     obs::Span span("rt.sort_records", "n", n);
@@ -415,8 +427,7 @@ class Runtime {
       fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
         sim::tick(1);
         obl::Elem e;
-        e.key = static_cast<uint64_t>(key_of(recs[i]));
-        assert(e.key != ~uint64_t{0} && "key 2^64-1 is the filler sentinel");
+        e.key = rec_keys[i];
         e.payload = i;
         keys[i] = e;
       });

@@ -23,7 +23,8 @@ struct RecordTraits<Elem> {
 
 /// Work record of bin placement: the user record plus a scratch sort key.
 /// The two low bits of skey encode the class (real=0, temp=1), the rest
-/// the bin id; fillers get the sink key.
+/// the bin id; fillers get the sink key. Before packing, a kept record's
+/// skey is re-keyed to its output slot.
 template <class R>
 struct BinItem {
   R r;

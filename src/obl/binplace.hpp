@@ -7,14 +7,26 @@
 // *promised* that no bin receives more than Z elements (overflow is
 // detected and reported so callers can re-randomize; see core/orba.hpp).
 //
-// Realized with O(1) oblivious sorts + one segmented scan:
-//   1. append Z "temp" elements per bin (so every bin has >= Z candidates),
-//   2. sort by (bin, real-before-temp),
-//   3. mark everything at offset >= Z within its bin as excess,
-//   4. sort the excess and input fillers to the back,
-//   5. keep the first beta*Z slots; temps become fillers.
-// All data-dependent decisions go through branchless selects; the access
-// pattern is a fixed function of (|input|, beta, Z).
+// Realized with one half-size sort, one merge, one segmented scan and one
+// packing network over 2H records, H = pow2_ceil(max(|input|, beta*Z)):
+//   1. layout: the first half holds the inputs, then sink fillers; the
+//      second half holds sinks, then Z "temp" elements per bin (so every
+//      bin has >= Z candidates) in *descending* (bin, temp) order — a
+//      public order, so that half is already sorted,
+//   2. sort the first half by (bin, real-before-temp) through the
+//      SorterBackend, then one bitonic merge of all 2H records (ascending
+//      half + descending half is bitonic) sorts the whole array,
+//   3. a segmented scan gives each record its offset within its bin,
+//   4. re-key: a kept record (not a sink, offset < Z) gets its output slot
+//      bin*Z + offset; excess records and sinks get the sink key (a *real*
+//      excess record means overflow),
+//   5. LSB-first butterfly packing moves every kept record to its slot
+//      (slots are the kept records' ranks, and monotone packing on an
+//      LSB-first butterfly never collides); keep the first beta*Z slots.
+// Only the half-sort follows the backend; the merge and the packing are
+// fixed networks. All data-dependent decisions go through branchless
+// selects and swap masks; the access pattern is a fixed function of
+// (|input|, beta, Z).
 //
 // The routine is generic over the record type R through a Traits policy so
 // REC-ORBA can route (label, element) pairs; RecordTraits<obl::Elem>
@@ -29,6 +41,7 @@
 #include "core/backend.hpp"
 #include "forkjoin/api.hpp"
 #include "obl/binitem.hpp"
+#include "obl/bitonic_ca.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
 #include "obl/oswap.hpp"
@@ -60,6 +73,24 @@ struct HeadCombine {
   }
 };
 
+/// Move every live record (skey != kSinkKey) of w to position skey, given
+/// that live skeys are exactly the live records' ranks, in array order.
+/// LSB-first butterfly: round d routes a live record by bit log2(d) of its
+/// slot. After round d a record sits at (its start's bits above log2 d,
+/// its slot's bits up to log2 d). Two live records meeting there would have
+/// started in one 2d-aligned block (< 2d apart) with slots congruent mod 2d
+/// (>= 2d apart); ranks never spread further than starts, so no round sends
+/// two live records to one position.
+template <class R>
+void pack_to_slots(const slice<BinItem<R>>& w) {
+  using Item = BinItem<R>;
+  kernel::butterfly_lsb(w, [](const Item& x, const Item& y, size_t d) {
+    const bool x_live = x.skey != Item::kSinkKey;
+    const bool y_live = y.skey != Item::kSinkKey;
+    return (x_live & ((x.skey & d) != 0)) | (y_live & ((y.skey & d) == 0));
+  });
+}
+
 }  // namespace detail
 
 /// Place the real elements of `in` into `out` (|out| = beta*Z; bin b is
@@ -71,13 +102,15 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
                    const SorterBackend& sorter = default_backend()) {
   using Item = BinItem<R>;
   assert(out.size() == beta * Z);
-  const size_t n0 = in.size() + beta * Z;
-  const size_t n = util::pow2_ceil(n0);
+  const size_t bz = beta * Z;
+  const size_t H = util::pow2_ceil(in.size() > bz ? in.size() : bz);
+  const size_t n = 2 * H;
+  const size_t temps0 = n - bz;  // first temp slot of the second half
 
   vec<Item> workv(n);
   const slice<Item> w = workv.s();
 
-  // 1. Input elements, then Z temps per bin, then pad fillers.
+  // 1. Inputs then sinks; sinks then temps in descending (bin, temp) order.
   kernel::generate_range(
       w, 0, n, kernel::Tick::PerElem, [&](Item& it, size_t i) {
         if (i < in.size()) {
@@ -85,8 +118,8 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
           const bool fill = Traits::is_filler(it.r);
           const uint64_t g = fill ? 0 : group(it.r);
           it.skey = oselect<uint64_t>(fill, Item::kSinkKey, (g << 2) | 0u);
-        } else if (i < n0) {
-          const uint64_t g = (i - in.size()) / Z;
+        } else if (i >= temps0) {
+          const uint64_t g = beta - 1 - (i - temps0) / Z;
           it.r = Traits::filler();
           it.skey = (g << 2) | 1u;  // temp
         } else {
@@ -95,8 +128,13 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
         }
       });
 
-  // 2. Sort by (bin, real < temp); fillers sink to the back.
-  sorter.sort(w, erase_less<Item>(BinBySkey{}));
+  // 2. Sort the first half by (bin, real < temp); fillers sink to its back.
+  // Merging it with the descending second half sorts all 2H records.
+  sorter.sort(w.first(H), erase_less<Item>(BinBySkey{}));
+  {
+    vec<Item> scratch(n);
+    bitonic_merge_ca(w, scratch.s(), /*up=*/true, BinBySkey{});
+  }
 
   // 3. Offset within bin via segmented scan of head positions.
   vec<detail::HeadSeg> segv(n);
@@ -115,7 +153,8 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
   vec<uint64_t> overflow_flags(n);
   const slice<uint64_t> of = overflow_flags.s();
 
-  // 4. Re-key: normal -> bin id, excess/filler -> sink.
+  // 4. Re-key: kept -> output slot bin*Z + offset, excess/filler -> sink.
+  // Surviving temps already are Traits::filler().
   kernel::transform_range(
       w, 0, n, kernel::Tick::PerElem, [&](Item& it, size_t i) {
         const uint64_t offset = i - sg[i].head_index;
@@ -123,21 +162,16 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
         const bool excess = !sink && offset >= Z;
         const bool real_excess = excess && (it.skey & 3u) == 0u;
         of[i] = real_excess ? 1u : 0u;
-        it.skey =
-            oselect<uint64_t>(excess || sink, Item::kSinkKey, it.skey >> 2);
-        // Temps that survive become fillers right away; record the class bit
-        // in the sink decision only. (Class info is no longer needed after
-        // this.)
+        it.skey = oselect<uint64_t>(excess || sink, Item::kSinkKey,
+                                    (it.skey >> 2) * Z + offset);
       });
   uint64_t lost = 0;
   for (size_t i = 0; i < n; ++i) lost += of[i];
   if (lost != 0) throw BinOverflow{};
 
-  sorter.sort(w, erase_less<Item>(BinBySkey{}));
-
-  // 5. Keep the first beta*Z entries; temps (recognizable as fillers-by-
-  // construction) were already materialized as Traits::filler().
-  kernel::generate_range(out, 0, beta * Z, kernel::Tick::None,
+  // 5. Pack every kept record into its slot.
+  detail::pack_to_slots(w);
+  kernel::generate_range(out, 0, bz, kernel::Tick::None,
                          [&](R& v, size_t i) { v = w[i].r; });
 }
 

@@ -69,24 +69,36 @@ constexpr size_t tile_elems() {
 
 namespace detail {
 
-/// Native path: one contiguous run of `count` independent comparators —
-/// pair k is (xa[k], xb[k]), ordered ascending iff `up`. Computes the wrong-
-/// order masks for a chunk, then swaps the whole chunk with one dispatched
-/// batch call.
-template <class T, class Less>
-inline void pair_run_native(T* xa, T* xb, size_t count, bool up,
-                            const Less& less) {
+/// Native path: one contiguous run of `count` independent pairs — pair k is
+/// (xa[k], xb[k]), swapped iff swap_if(xa[k], xb[k]). Computes the masks for
+/// a chunk, then swaps the whole chunk with one dispatched batch call.
+template <class T, class SwapIf>
+inline void masked_run_native(T* xa, T* xb, size_t count,
+                              const SwapIf& swap_if) {
   unsigned char mask[kMaskChunk];
   for (size_t base = 0; base < count; base += kMaskChunk) {
     const size_t cnt = std::min(kMaskChunk, count - base);
     for (size_t k = 0; k < cnt; ++k) {
-      const T& x = xa[base + k];
-      const T& y = xb[base + k];
-      mask[k] = static_cast<unsigned char>(up ? less(y, x) : less(x, y));
+      mask[k] =
+          static_cast<unsigned char>(swap_if(xa[base + k], xb[base + k]));
     }
     oswap_batch_raw(reinterpret_cast<unsigned char*>(xa + base),
                     reinterpret_cast<unsigned char*>(xb + base), sizeof(T),
                     sizeof(T), mask, cnt);
+  }
+}
+
+/// Native path: one contiguous run of `count` independent comparators —
+/// pair k is (xa[k], xb[k]), ordered ascending iff `up`.
+template <class T, class Less>
+inline void pair_run_native(T* xa, T* xb, size_t count, bool up,
+                            const Less& less) {
+  if (up) {
+    masked_run_native(xa, xb, count,
+                      [&](const T& x, const T& y) { return less(y, x); });
+  } else {
+    masked_run_native(xa, xb, count,
+                      [&](const T& x, const T& y) { return less(x, y); });
   }
 }
 
@@ -243,6 +255,58 @@ void butterfly(const slice<T>& a, bool up, const Less& less) {
       }
     }
   });
+}
+
+/// LSB-first butterfly on a[0..m), m a power of two: rounds d = 1, 2, …,
+/// m/2; in round d every i with (i & d) == 0 pairs with i + d, and the pair
+/// swaps iff swap_if(a[i], a[i+d], d). The pattern is a fixed function of m;
+/// swap_if only shapes the masks. Every round forks across its pairs.
+/// Instrumented: a grain-1 fork tree over the pairs, one tick per pair.
+/// Native: rounds with d below the L1 tile run back-to-back inside each
+/// tile; wider rounds fork over tile-sized chunks of their pairs.
+template <class T, class SwapIf>
+void butterfly_lsb(const slice<T>& a, const SwapIf& swap_if) {
+  const size_t m = a.size();
+  if (m <= 1) return;
+  assert(util::is_pow2(m));
+  const size_t half = m / 2;
+  if (instrumented()) {
+    for (size_t d = 1; d < m; d *= 2) {
+      fj::for_range(0, half, 1, [&](size_t k) {
+        const size_t i = 2 * k - (k & (d - 1));  // k-th left index
+        sim::tick(1);
+        T x = a[i];
+        T y = a[i + d];
+        oswap(x, y, swap_if(x, y, d));
+        a[i] = x;
+        a[i + d] = y;
+      });
+    }
+    return;
+  }
+  const size_t tile = std::min(tile_elems<T>(), m);
+  fj::for_range(0, m / tile, 1, [&](size_t t) {
+    T* q = a.data() + t * tile;
+    for (size_t d = 1; d < tile; d *= 2) {
+      const auto pred = [&](const T& x, const T& y) {
+        return swap_if(x, y, d);
+      };
+      for (size_t s = 0; s < tile; s += 2 * d) {
+        detail::masked_run_native(q + s, q + s + d, d, pred);
+      }
+    }
+  });
+  const size_t chunk = tile / 2;  // divides every d >= tile
+  for (size_t d = tile; d < m; d *= 2) {
+    const auto pred = [&](const T& x, const T& y) {
+      return swap_if(x, y, d);
+    };
+    fj::for_range(0, half / chunk, 1, [&](size_t c) {
+      const size_t k = c * chunk;
+      T* p = a.data() + 2 * k - (k & (d - 1));
+      detail::masked_run_native(p, p + d, chunk, pred);
+    });
+  }
 }
 
 /// Batch oswap: for i in [0, count), swap a[i] and b[i] iff mask[i] != 0.

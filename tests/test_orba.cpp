@@ -60,7 +60,9 @@ TEST(Orba, LargerGammaStillRoutesCorrectly) {
   for (size_t b = 0; b < out.beta; ++b) {
     for (size_t k = 0; k < out.Z; ++k) {
       const Routed& r = out.bins.underlying()[b * out.Z + k];
-      if (!r.e.is_filler()) ASSERT_EQ(r.label, b);
+      if (!r.e.is_filler()) {
+        ASSERT_EQ(r.label, b);
+      }
     }
   }
 }
@@ -81,6 +83,24 @@ TEST(Orba, TraceIndependentOfDataAndSeed) {
   EXPECT_EQ(digest_of(1, 10), digest_of(2, 10));
   EXPECT_EQ(digest_of(1, 10), digest_of(1, 20));
   EXPECT_EQ(digest_of(3, 30), digest_of(4, 40));
+}
+
+TEST(Orba, TraceIndependentOfContentsAtAutoParams) {
+  // n = 2^12 with the auto parameters recurses (beta = 32 > gamma = 16):
+  // different keys and different label draws must leave one trace.
+  constexpr size_t n = 1 << 12;
+  auto digest_of = [](uint64_t data_seed, uint64_t key_bound,
+                      uint64_t label_seed) {
+    sim::Session s = sim::Session::analytic().with_trace();
+    sim::ScopedSession guard(s);
+    auto in = test::random_elems(n, data_seed, key_bound);
+    vec<Elem> inv(in);
+    (void)core::detail::orba(inv.s(), label_seed,
+                             core::SortParams::auto_for(n));
+    return s.log()->digest();
+  };
+  // Four distinct keys versus full-range keys, under different labels.
+  EXPECT_EQ(digest_of(1, 4, 10), digest_of(2, 0, 20));
 }
 
 TEST(Orba, OverflowIsDetectedUnderAdversarialCapacity) {

@@ -81,6 +81,34 @@ TEST(RuntimeSortRecords, HandlesTinyAndDuplicateInputs) {
   }
 }
 
+TEST(RuntimeSortRecords, RejectsSentinelKeyWithoutDrawingASeed) {
+  const auto key = [](const Order& o) { return o.id; };
+  auto bad = random_orders(64, 3);
+  bad[17].id = ~uint64_t{0};
+  const auto before = bad;
+
+  auto rt = Runtime::builder().seed(42).build();
+  auto twin = Runtime::builder().seed(42).build();
+  EXPECT_THROW(rt.sort_records(std::span<Order>(bad), key),
+               std::invalid_argument);
+  std::vector<Order> one(1);
+  one[0].id = ~uint64_t{0};
+  EXPECT_THROW(rt.sort_records(std::span<Order>(one), key),
+               std::invalid_argument);
+  for (size_t i = 0; i < bad.size(); ++i) EXPECT_EQ(bad[i].id, before[i].id);
+
+  // The rejected calls drew no seed: rt still replays its twin call for call.
+  auto permuted = [](Runtime& r) {
+    auto in = test::random_elems(512, 9);
+    vec<Elem> v(in), out(in.size());
+    r.permute(v.s(), out.s());
+    std::vector<uint64_t> keys(in.size());
+    for (size_t i = 0; i < keys.size(); ++i) keys[i] = out.underlying()[i].key;
+    return keys;
+  };
+  EXPECT_EQ(permuted(rt), permuted(twin));
+}
+
 TEST(RuntimeSort, SortsElemSlicesWithPerCallVariant) {
   constexpr size_t n = 2048;
   auto rt = Runtime::builder().seed(7).threads(3).build();
