@@ -449,8 +449,8 @@ class Runtime {
 
   /// Oblivious equi-join: every (l, r) with key_l(l) == key_r(r), grouped
   /// by left row in input order, each group's right rows ascending by
-  /// (key, input index). Keys must be < rel::kKeyLimit (2^62). The
-  /// schedule is a function of (|L|, |R|, opts.output_bound) only; the
+  /// (key, input index). Keys < rel::kKeyLimit, else std::invalid_argument.
+  /// The schedule is a function of (|L|, |R|, opts.output_bound) only; the
   /// returned rows (declassified output) reveal the true match count.
   template <class RecL, class KeyL, class RecR, class KeyR>
   rel::JoinResult<RecL, RecR> equi_join(std::span<const RecL> left,
@@ -475,7 +475,7 @@ class Runtime {
 
   /// Oblivious group-by aggregation: one GroupRow per distinct key_of(rec)
   /// value (ascending by key), with val_of(rec) folded under `agg` and the
-  /// group size alongside. Keys < rel::kKeyLimit; Sum wraps mod 2^64. The
+  /// group size alongside. Keys as in equi_join; Sum wraps mod 2^64. The
   /// schedule depends only on (|recs|, opts.group_bound); groups past the
   /// bound are truncated (GroupByResult::truncated()).
   template <class Rec, class KeyFn, class ValFn>
@@ -493,6 +493,7 @@ class Runtime {
         "group_by_aggregate: val_of(rec) must yield an unsigned 64-bit "
         "value");
     const size_t n = recs.size();
+    check_rel_keys(recs, key_of);
     const auto sorter = resolve(opts.sort);
     const size_t bound = opts.group_bound == 0 ? n : opts.group_bound;
     obs::Span span("rt.group_by", "n", n, "bound", bound);
@@ -893,6 +894,15 @@ class Runtime {
  private:
   friend class Builder;
 
+  /// The rel key contract, checked in every build type before any seed.
+  template <class Rec, class KeyFn>
+  static void check_rel_keys(std::span<const Rec> recs, KeyFn& key_of) {
+    for (const Rec& r : recs) {
+      if (static_cast<uint64_t>(key_of(r)) < rel::kKeyLimit) continue;
+      throw std::invalid_argument("rel: join/group keys must be < 2^62");
+    }
+  }
+
   /// Shared equi/band join wrapper: Elem tables in, engine inside one
   /// with_env, fixed-pattern readout, client-side strip.
   template <class RecL, class RecR, class KeyL, class KeyR>
@@ -916,6 +926,8 @@ class Runtime {
     if (nl >= kMaxRows || nr >= kMaxRows) {
       throw std::invalid_argument("join: table sizes must be < 2^32");
     }
+    check_rel_keys(left, key_l);
+    check_rel_keys(right, key_r);
     const auto sorter = resolve(opts.sort);
     const size_t bound =
         opts.output_bound == 0 ? nl * nr : opts.output_bound;

@@ -43,6 +43,7 @@ Pool::Pool(unsigned helpers, unsigned external_slots, bool share_idle)
   queues_.reserve(n_external_ + n_workers_);
   for (unsigned i = 0; i < n_external_ + n_workers_; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
+    queues_.back()->rng = (i + 1) * 0xbf58476d1ce4e5b9ULL;
   }
   free_slots_.reserve(n_external_);
   // Stack of free external slots; pop_back hands out slot 0 first so the
@@ -112,6 +113,7 @@ void Pool::push_local(Task* t) {
   {
     std::lock_guard<std::mutex> lk(wq.m);
     wq.q.push_back(t);
+    wq.publish_size();
   }
   // Once the pool has ever been sliced, a single wake could land on a
   // worker of a different slice that won't serve this task, so wake
@@ -131,6 +133,7 @@ bool Pool::pop_local_if(Task* t) {
   std::lock_guard<std::mutex> lk(wq.m);
   if (!wq.q.empty() && wq.q.back() == t) {
     wq.q.pop_back();
+    wq.publish_size();
     return true;
   }
   return false;
@@ -138,10 +141,12 @@ bool Pool::pop_local_if(Task* t) {
 
 Task* Pool::try_pop_local() {
   WorkerQueue& wq = *queues_[static_cast<unsigned>(tls_queue_id())];
+  if (wq.size.load(std::memory_order_relaxed) == 0) return nullptr;
   std::lock_guard<std::mutex> lk(wq.m);
   if (wq.q.empty()) return nullptr;
   Task* t = wq.q.back();
   wq.q.pop_back();
+  wq.publish_size();
   return t;
 }
 
@@ -150,13 +155,12 @@ Task* Pool::try_steal(unsigned self) {
   const bool mon = obs::metrics_on();
   if (mon) pm().steal_attempts.inc();
   const unsigned n = static_cast<unsigned>(queues_.size());
-  const uint32_t my_slice =
-      queues_[self]->slice.load(std::memory_order_acquire);
+  WorkerQueue& me = *queues_[self];
+  const uint32_t my_slice = me.slice.load(std::memory_order_acquire);
   // Randomized victim selection per Blumofe-Leiserson, slice-mates first;
   // a share_idle pool falls through to foreign slices when its own slice
   // has run dry (idle capacity flows to busy pipelines).
-  uint64_t seed = steal_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
-                                        std::memory_order_relaxed);
+  uint64_t seed = me.rng += 0x9e3779b97f4a7c15ULL;
   seed ^= seed >> 33;
   seed *= 0xff51afd7ed558ccdULL;
   const int passes = share_idle_.load(std::memory_order_relaxed) ? 2 : 1;
@@ -168,10 +172,15 @@ Task* Pool::try_steal(unsigned self) {
       const bool mate =
           wq.slice.load(std::memory_order_acquire) == my_slice;
       if (mate != (pass == 0)) continue;
+      // A stale 0 costs one missed probe, as losing the race for the lock
+      // would; no task is lost, since every queued branch is reclaimed by
+      // its forker's pop_local_if, which always locks.
+      if (wq.size.load(std::memory_order_relaxed) == 0) continue;
       std::lock_guard<std::mutex> lk(wq.m);
       if (!wq.q.empty()) {
         Task* t = wq.q.front();  // steal from the top: oldest, largest task
         wq.q.pop_front();
+        wq.publish_size();
         if (mon) pm().steals.inc();
         return t;
       }

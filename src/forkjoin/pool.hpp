@@ -20,6 +20,11 @@
 // The deques are mutex-protected rather than lock-free Chase-Lev: this keeps
 // the scheduler obviously correct, and the library's measured quantities
 // (work/span/cache) come from the analytic executor, not wall-clock timing.
+//
+// Hot-path layout: each queue owns its cache lines (kCacheLine), so a fork
+// writes no line another queue uses; a steal search writes only the
+// searcher's own queue (its RNG); and a queue's size hint is advisory — a
+// hint of 0 skips the queue without taking its mutex.
 
 #include <atomic>
 #include <condition_variable>
@@ -169,11 +174,19 @@ class Pool {
  private:
   friend class PoolView;
 
-  struct WorkerQueue {
+  static constexpr size_t kCacheLine = 128;  // 2 x 64 B: prefetch pairs
+  struct alignas(kCacheLine) WorkerQueue {
+    std::atomic<uint32_t> slice{kSharedSlice};
+    std::atomic<uint32_t> size{0};  // q.size(), written under m; a hint
     std::mutex m;
     std::deque<Task*> q;
-    std::atomic<uint32_t> slice{kSharedSlice};
+    uint64_t rng = 0;  // victim-choice state; only the owner steals
+    void publish_size() {  // with m held, after every change to q
+      size.store(static_cast<uint32_t>(q.size()), std::memory_order_relaxed);
+    }
   };
+  static_assert(alignof(WorkerQueue) == kCacheLine &&
+                sizeof(WorkerQueue) % kCacheLine == 0);
 
   /// Index into queues_ of the queue this thread pushes to; -1 when the
   /// thread is not participating. Queue layout: [0, n_external_) are
@@ -226,7 +239,6 @@ class Pool {
   std::vector<int> free_slots_;
   std::mutex sleep_m_;
   std::condition_variable sleep_cv_;
-  std::atomic<uint64_t> steal_seed_{0x9e3779b97f4a7c15ULL};
 };
 
 /// A leased view of a Pool: one external participation slot plus whatever

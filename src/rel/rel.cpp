@@ -116,7 +116,6 @@ void multiplicity_pass(const slice<Elem>& left, const slice<Elem>& right,
         if (i < nl) {  // lo-query for left row i (the only query kind in
                        // equi mode: it carries both scans' results)
           const Elem l = left[i];
-          assert(l.key < kKeyLimit && "rel: join keys must be < 2^62");
           const uint64_t lo = obl::oselect<uint64_t>(band_c > l.key, 0,
                                                      l.key - band_c);
           e.key = banded ? lo : l.key;
@@ -132,7 +131,6 @@ void multiplicity_pass(const slice<Elem>& left, const slice<Elem>& right,
           e.payload = 0;
         } else if (i < queries + nr) {  // right row
           const Elem r = right[i - queries];
-          assert(r.key < kKeyLimit && "rel: join keys must be < 2^62");
           e.key = r.key;
           e.extra = kTagRight;
           e.aux = i - queries;
@@ -353,8 +351,6 @@ uint64_t group_by_engine(const slice<Elem>& in, Agg agg,
                          [&](Elem& e, size_t i) {
                            if (i < n) {
                              e = in[i];
-                             assert(e.key < kKeyLimit &&
-                                    "rel: group keys must be < 2^62");
                              e.aux = i;
                            } else {
                              e = Elem::filler();

@@ -750,9 +750,9 @@ void Service::run_coalesced_join(Batch& b) {
       res.rows.emplace_back(r.keys[e.payload], r.keys2[e.aux]);
     }
     off += r.bound;
+    observe_latency(r);
     r.finish_join(std::move(res), nullptr);
     ++b.done;
-    observe_latency(r);
   }
 }
 
@@ -770,9 +770,9 @@ void Service::run_solo_join(Batch& b) {
                : rt_.equi_join(std::span<const uint64_t>(r.keys), ident,
                                std::span<const uint64_t>(r.keys2), ident,
                                jo);
+  observe_latency(r);
   r.finish_join(std::move(res), nullptr);
   ++b.done;
-  observe_latency(r);
 }
 
 void Service::run_coalesced_group(Batch& b) {
@@ -807,9 +807,9 @@ void Service::run_coalesced_group(Batch& b) {
       res.groups.push_back(rel::GroupRow{e.key, e.payload, e.aux});
     }
     off += r.bound;
+    observe_latency(r);
     r.finish_group(std::move(res), nullptr);
     ++b.done;
-    observe_latency(r);
   }
 }
 
@@ -824,9 +824,9 @@ void Service::run_solo_group(Batch& b) {
       std::span<const uint32_t>(idx),
       [&](uint32_t i) { return r.keys[i]; },
       [&](uint32_t i) { return r.keys2[i]; }, r.agg, go);
+  observe_latency(r);
   r.finish_group(std::move(res), nullptr);
   ++b.done;
-  observe_latency(r);
 }
 
 void Service::complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
@@ -835,13 +835,14 @@ void Service::complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
   // the bytes handed to the promise are identical no matter which engine
   // sorted the keys or which batch the request rode in.
   normalize_ties(keys, order, r.stream);
+  observe_latency(r);
   r.finish(std::move(keys), std::move(order), nullptr);
   ++b.done;
-  observe_latency(r);
 }
 
 void Service::observe_latency(const PendingReq& r) const {
-  // Admission -> Future-ready, observed after the promise is fulfilled.
+  // Admission -> Future-ready, observed just before the promise is kept so
+  // that a caller woken by get() finds its request counted in stats().
   // Inline-completed empty requests never reach here (no admission stamp).
   if (!obs::metrics_on()) return;
   const auto dt = std::chrono::steady_clock::now() - r.enqueued;

@@ -7,12 +7,14 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "forkjoin/api.hpp"
 #include "forkjoin/pool.hpp"
 #include "sim/session.hpp"
 #include "util/bits.hpp"
+#include "util/rng.hpp"
 
 namespace dopar {
 namespace {
@@ -81,6 +83,55 @@ TEST(ForkJoin, ExceptionsPropagateFromForkedBranchesAndPoolSurvives) {
     });
     EXPECT_EQ(count.load(), 4096u);
   }
+}
+
+/// Sum of [lo, hi) with a fork at every level down to single leaves:
+/// hi - lo - 1 forks.
+uint64_t fork_every_index(uint64_t lo, uint64_t hi) {
+  if (hi - lo == 1) return lo;
+  uint64_t a = 0, b = 0;
+  const uint64_t mid = lo + (hi - lo) / 2;
+  fj::invoke([&] { a = fork_every_index(lo, mid); },
+             [&] { b = fork_every_index(mid, hi); });
+  return a + b;
+}
+
+TEST(ForkJoin, SlicedPoolUnderRetaggingLosesNoTask) {
+  // Two roots in their own slices of a hard-partitioned pool while another
+  // thread flips the cross-slice rule and re-tags every worker at random:
+  // each root's queue-size hints go stale all the time, and still every
+  // one of its forks must run (exact sums) and every join must return.
+  constexpr uint64_t kLeaves = uint64_t{1} << 17;  // 131071 forks a round
+  constexpr uint64_t kWant = kLeaves * (kLeaves - 1) / 2;
+  fj::Pool pool(3, 2, /*share_idle=*/false);
+  std::atomic<bool> done{false};
+  std::thread chaos([&] {
+    util::Rng rng(5);
+    while (!done.load(std::memory_order_relaxed)) {
+      pool.set_share_idle(rng.below(2) == 0);
+      pool.assign_worker_slice(static_cast<unsigned>(rng.below(3)),
+                               static_cast<uint32_t>(rng.below(3)));
+      std::this_thread::yield();
+    }
+  });
+  auto client = [&](uint32_t slice, std::vector<uint64_t>& sums) {
+    const int slot = pool.try_acquire_external_slot(slice);
+    ASSERT_GE(slot, 0);
+    fj::ScopedPool scoped(pool);
+    fj::PoolView view(&pool, slot, slice);
+    for (uint64_t& s : sums) {
+      view.run([&] { s = fork_every_index(0, kLeaves); });
+    }
+    pool.release_external_slot(slot);
+  };
+  std::vector<uint64_t> sums1(4), sums2(4);
+  std::thread second([&] { client(2, sums2); });
+  client(1, sums1);
+  second.join();
+  done.store(true, std::memory_order_relaxed);
+  chaos.join();
+  for (uint64_t s : sums1) EXPECT_EQ(s, kWant);
+  for (uint64_t s : sums2) EXPECT_EQ(s, kWant);
 }
 
 TEST(ForkJoin, NestedPoolsForksAreReentrant) {

@@ -367,6 +367,61 @@ TEST(RelGroupBy, GroupBoundTruncates) {
   }
 }
 
+// ---- key contract ------------------------------------------------------
+
+TEST(RelContract, KeyLimitEnforcedOnEveryEntryPointBeforeAnySeed) {
+  // Keys at and around rel::kKeyLimit (2^62) and the filler sentinel, in
+  // every build type: a call with a key >= 2^62 throws, any other call
+  // matches the oracle. Every call overrides the backend, so it draws a
+  // seed once past the checks; a rejection that came after the draw would
+  // break the replay against `twin`, which makes only the accepted calls.
+  const rel::JoinOptions jopts{.output_bound = 16,
+                               .sort = SortOptions{.backend = "odd_even"}};
+  const rel::GroupByOptions gopts{.group_bound = 0, .sort = jopts.sort};
+  const auto val = [](const RRow& r) { return r.id; };
+  auto sweep = [&](Runtime& rt, bool with_rejected) {
+    for (uint64_t k : {uint64_t{0}, rel::kKeyLimit - 1, rel::kKeyLimit,
+                       ~uint64_t{0} - 1, ~uint64_t{0}}) {
+      SCOPED_TRACE("key=" + std::to_string(k));
+      const std::vector<LRow> L{{k, 1}, {3, 2}, {k, 3}};
+      const std::vector<RRow> R{{k, 5}, {2, 6}, {k, 7}, {9, 8}};
+      const std::span<const LRow> ls(L);
+      const std::span<const RRow> rs(R);
+      if (k >= rel::kKeyLimit) {
+        if (!with_rejected) continue;
+        EXPECT_THROW(rt.equi_join(ls, kLKey, rs, kRKey, jopts),
+                     std::invalid_argument);
+        EXPECT_THROW(rt.band_join(ls, kLKey, rs, kRKey, 1, jopts),
+                     std::invalid_argument);
+        EXPECT_THROW(rt.group_by_aggregate(rs, kRKey, val, rel::Agg::Sum,
+                                           gopts),
+                     std::invalid_argument);
+        continue;
+      }
+      EXPECT_EQ(ids_of(rt.equi_join(ls, kLKey, rs, kRKey, jopts)),
+                oracle_join(L, R, false, 0));
+      EXPECT_EQ(ids_of(rt.band_join(ls, kLKey, rs, kRKey, 1, jopts)),
+                oracle_join(L, R, true, 1));
+      expect_groups_match(
+          rt.group_by_aggregate(rs, kRKey, val, rel::Agg::Sum, gopts),
+          oracle_group(R, rel::Agg::Sum));
+    }
+  };
+  auto permuted = [](Runtime& rt) {
+    const auto in = test::random_elems(256, 9);
+    vec<obl::Elem> v(in), out(in.size());
+    rt.permute(v.s(), out.s());
+    std::vector<uint64_t> keys(in.size());
+    for (size_t i = 0; i < keys.size(); ++i) keys[i] = out.underlying()[i].key;
+    return keys;
+  };
+  auto rt = Runtime::builder().seed(23).build();
+  auto twin = Runtime::builder().seed(23).build();
+  sweep(rt, true);
+  sweep(twin, false);
+  EXPECT_EQ(permuted(rt), permuted(twin));
+}
+
 // ---- obliviousness pins ------------------------------------------------
 
 /// Run the full operator battery on one traced Runtime and return the
