@@ -116,26 +116,32 @@ void analytic_group(size_t nl, const std::string& backend) {
               (unsigned long long)res.groups_total);
 }
 
-void wall_equi(size_t nl) {
+/// Best-of-kWallIters wall time of one join on a native all-cores Runtime
+/// (equi, or band with band 2 and a 6x bound as in analytic_band).
+void wall_join(size_t nl, bool banded) {
   const auto L = make_orders(nl);
   const auto R = make_items(4 * nl, nl);
   auto rt = Runtime::builder().threads(0).seed(1).build();
+  const JoinOptions jo{.output_bound = banded ? 6 * L.size() : R.size(),
+                       .sort = {}};
   double best = 1e18;
   uint64_t matched = 0;
   for (int it = 0; it < kWallIters; ++it) {
     const auto t0 = Clock::now();
-    const auto res = rt.equi_join(std::span<const Order>(L), kOrderKey,
-                                  std::span<const Item>(R), kItemKey,
-                                  JoinOptions{.output_bound = R.size(),
-                                              .sort = {}});
+    const auto res =
+        banded ? rt.band_join(std::span<const Order>(L), kOrderKey,
+                              std::span<const Item>(R), kItemKey, 2, jo)
+               : rt.equi_join(std::span<const Order>(L), kOrderKey,
+                              std::span<const Item>(R), kItemKey, jo);
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
     if (us < best) best = us;
     matched = res.matched;
   }
-  bench::record_wall("join_wall", "equi", R.size(), "bitonic_ca", best);
-  std::printf("%10s %8s %8zu %12.0fus %8llu\n", "equi", "wall", R.size(),
-              best, (unsigned long long)matched);
+  const char* op = banded ? "band" : "equi";
+  bench::record_wall("join_wall", op, R.size(), "bitonic_ca", best);
+  std::printf("%10s %8s %8zu %12.0fus %8llu\n", op, "wall", R.size(), best,
+              (unsigned long long)matched);
 }
 
 }  // namespace
@@ -155,7 +161,8 @@ int main() {
   }
   bench::print_header("wall-clock (native, all cores; report-only)",
                       "        op            n         best");
-  wall_equi(4096);
+  wall_join(4096, false);
+  wall_join(4096, true);
   bench::write_json("BENCH_join.json");
   return 0;
 }

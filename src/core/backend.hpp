@@ -72,6 +72,14 @@ class SorterBackend {
   /// Registry name this instance was created under.
   virtual std::string_view name() const = 0;
 
+  /// Backend kind: true for a comparator network, whose every order is a
+  /// fixed schedule of the array size alone; false for a full-sort
+  /// algorithm (the default, also for backends registered from outside).
+  /// Operators with a network-specific plan dispatch on it — every
+  /// network backend's joins run the recorded bitonic network
+  /// (rel/rel.hpp).
+  virtual bool is_network() const { return false; }
+
   /// Canonical order: Elem ascending by key — the order every composite
   /// primitive packs its scratch phases into. Sort-algorithm backends
   /// ("osort", "spms") realize it with the full oblivious sort; network
@@ -97,6 +105,7 @@ class NetworkBackend final : public SorterBackend {
   explicit NetworkBackend(std::string name) : name_(std::move(name)) {}
 
   std::string_view name() const override { return name_; }
+  bool is_network() const override { return true; }
 
   void sort(const slice<obl::Elem>& a) const override {
     Net{}(a, obl::ByKey{});

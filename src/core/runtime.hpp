@@ -903,8 +903,9 @@ class Runtime {
     }
   }
 
-  /// Shared equi/band join wrapper: Elem tables in, engine inside one
-  /// with_env, fixed-pattern readout, client-side strip.
+  /// Shared equi/band join wrapper: Elem tables in, the join engine as a
+  /// one-slot batch inside one with_env, fixed-pattern readout,
+  /// client-side strip.
   template <class RecL, class RecR, class KeyL, class KeyR>
   rel::JoinResult<RecL, RecR> join_impl(std::span<const RecL> left,
                                         KeyL& key_l,
@@ -954,8 +955,9 @@ class Runtime {
             e.key = static_cast<uint64_t>(key_r(right[i]));
             e.payload = i;
           });
-      matched = rel::detail::join_engine(lv.s(), rv.s(), banded, band,
-                                         outv.s(), *sorter);
+      matched = rel::detail::join_engine_batched(
+          lv.s(), rv.s(), {rel::JoinSlot{nl, nr, bound, banded, band}},
+          outv.s(), *sorter)[0];
       std::copy_n(outv.s().data(), bound, frame.data());
     });
     rel::JoinResult<RecL, RecR> res;

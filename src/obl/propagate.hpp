@@ -38,29 +38,47 @@ struct PropCombine {
   }
 };
 
+/// Every element takes the (payload, aux) of the nearest element at or
+/// before it that heads a run (is_head(i, a[i])); elements before the
+/// first head keep their own.
+template <class IsHead>
+void propagate_heads(const slice<Elem>& a, const IsHead& is_head) {
+  const size_t n = a.size();
+  if (n <= 1) return;
+  vec<PropSeg> segs(n);
+  const slice<PropSeg> sg = segs.s();
+  kernel::generate_range(
+      sg, 0, n, kernel::Tick::PerElem, [&](PropSeg& v, size_t i) {
+        const Elem e = a[i];
+        v = PropSeg{e.payload, e.aux, is_head(i, e) ? 1u : 0u};
+      });
+  scan_inclusive(sg, PropCombine{});
+  kernel::transform_range(a, 0, n, kernel::Tick::PerElem,
+                          [&](Elem& e, size_t i) {
+                            e.payload = sg[i].payload;
+                            e.aux = sg[i].aux;
+                          });
+}
+
 }  // namespace detail
 
 /// Propagate the leftmost (payload, aux) of each key-group to the whole
 /// group. Fillers form their own groups (key = 2^64-1) and are unaffected
 /// in practice.
 inline void propagate_leftmost(const slice<Elem>& a) {
-  const size_t n = a.size();
-  if (n <= 1) return;
-  vec<detail::PropSeg> segs(n);
-  const slice<detail::PropSeg> sg = segs.s();
-  kernel::generate_range(
-      sg, 0, n, kernel::Tick::PerElem, [&](detail::PropSeg& v, size_t i) {
-        const Elem e = a[i];
-        // Short-circuit preserved: position 0 never touches a[-1].
-        const bool head = (i == 0) || (a[i - 1].key != e.key);
-        v = detail::PropSeg{e.payload, e.aux, head ? 1u : 0u};
-      });
-  scan_inclusive(sg, detail::PropCombine{});
-  kernel::transform_range(a, 0, n, kernel::Tick::PerElem,
-                          [&](Elem& e, size_t i) {
-                            e.payload = sg[i].payload;
-                            e.aux = sg[i].aux;
-                          });
+  detail::propagate_heads(a, [&](size_t i, const Elem& e) {
+    // Short-circuit preserved: position 0 never touches a[-1].
+    return (i == 0) || (a[i - 1].key != e.key);
+  });
+}
+
+/// Propagate from marked heads: every element takes the (payload, aux) of
+/// the nearest element at or before it for which head(element) holds;
+/// elements before the first head keep their own.
+template <class Head>
+void propagate_marked(const slice<Elem>& a, const Head& head) {
+  detail::propagate_heads(a,
+                          [&](size_t, const Elem& e) { return head(e); });
 }
 
 }  // namespace dopar::obl

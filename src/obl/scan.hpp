@@ -10,10 +10,13 @@
 // binary forks: an upsweep computes subtree folds into a segment tree, the
 // downsweep pushes carries to the leaves. No identity element is required
 // (carries track an explicit "empty" state), so any associative combine
-// works, including the non-commutative segmented operators.
+// works, including the non-commutative segmented operators. Instrumented
+// runs always take the tree (the analytic model's schedule); native runs
+// take a blocked scan with the same values and no tree.
 
 #include <cassert>
 #include <cstddef>
+#include <vector>
 
 #include "forkjoin/api.hpp"
 #include "sim/session.hpp"
@@ -81,6 +84,51 @@ void scan_down_rev(const slice<T>& a, const slice<T>& tree, size_t node,
                           comb); });
 }
 
+/// Native blocks of this many elements scan serially; only the per-block
+/// totals are scanned across blocks.
+inline constexpr size_t kScanBlock = 4096;
+
+/// Native (uninstrumented) scan: every block scans itself in parallel, one
+/// serial pass folds the block totals into per-block carries, and every
+/// block folds its carry in — O(n) work, no tree, the same values as the
+/// tree scan for any associative combine. `rev` scans suffixes.
+template <class T, class Combine>
+void scan_native(const slice<T>& a, const Combine& comb, bool rev) {
+  T* p = a.data();
+  const size_t n = a.size();
+  const size_t nb = (n + kScanBlock - 1) / kScanBlock;
+  const auto lo_of = [&](size_t b) { return b * kScanBlock; };
+  const auto hi_of = [&](size_t b) {
+    return (b + 1) * kScanBlock < n ? (b + 1) * kScanBlock : n;
+  };
+  fj::for_range(0, nb, 1, [&](size_t b) {
+    const size_t lo = lo_of(b), hi = hi_of(b);
+    if (rev) {
+      for (size_t i = hi - 1; i-- > lo;) p[i] = comb(p[i], p[i + 1]);
+    } else {
+      for (size_t i = lo + 1; i < hi; ++i) p[i] = comb(p[i - 1], p[i]);
+    }
+  });
+  if (nb == 1) return;
+  // carry[b] = fold of every block before b (after b when reversed); a
+  // scanned block's total sits at its last (first) element.
+  std::vector<T> carry(nb);
+  for (size_t k = 1; k < nb; ++k) {
+    const size_t b = rev ? nb - 1 - k : k;
+    const size_t prev = rev ? b + 1 : b - 1;
+    const T& total = rev ? p[lo_of(prev)] : p[hi_of(prev) - 1];
+    carry[b] = k == 1 ? total
+                      : (rev ? comb(total, carry[prev])
+                             : comb(carry[prev], total));
+  }
+  fj::for_range(0, nb, 1, [&](size_t b) {
+    if (b == (rev ? nb - 1 : 0)) return;
+    for (size_t i = lo_of(b); i < hi_of(b); ++i) {
+      p[i] = rev ? comb(p[i], carry[b]) : comb(carry[b], p[i]);
+    }
+  });
+}
+
 }  // namespace detail
 
 /// In-place inclusive prefix fold: a[i] = comb(a[0], ..., a[i]).
@@ -88,6 +136,10 @@ template <class T, class Combine>
 void scan_inclusive(const slice<T>& a, const Combine& comb) {
   const size_t n = a.size();
   if (n <= 1) return;
+  if (!sim::current_session()) {
+    detail::scan_native(a, comb, /*rev=*/false);
+    return;
+  }
   vec<T> tree(4 * n);
   detail::scan_up(a, tree.s(), 1, 0, n, comb);
   detail::scan_down_fwd(a, tree.s(), 1, 0, n, T{}, false, comb);
@@ -98,6 +150,10 @@ template <class T, class Combine>
 void scan_inclusive_reverse(const slice<T>& a, const Combine& comb) {
   const size_t n = a.size();
   if (n <= 1) return;
+  if (!sim::current_session()) {
+    detail::scan_native(a, comb, /*rev=*/true);
+    return;
+  }
   vec<T> tree(4 * n);
   detail::scan_up(a, tree.s(), 1, 0, n, comb);
   detail::scan_down_rev(a, tree.s(), 1, 0, n, T{}, false, comb);

@@ -4,14 +4,15 @@
 // Everything here is a composition of the library's fixed-pattern building
 // blocks: backend sorts (canonical key sorts run the full Theorem 3.2
 // pipeline on the "osort"/"spms" backends; scratch orders run the
-// comparator network), segmented scans (obl::aggregate_suffix,
-// obl::propagate_leftmost), plain prefix scans, stable oblivious
-// compaction, and oblivious send-receive. The per-pass scratch sizes are
-// functions of (|L|, |R|, bound) alone, so the step sequence — and with a
-// network backend the entire comparator/access schedule — is independent
-// of table contents. Secret-dependent *values* are computed branchlessly
-// (obl::oselect) throughout; public parameters (sizes, band mode, the
-// aggregation operator) may branch freely.
+// comparator network), recorded bitonic networks and monotone routing
+// (obl/route.hpp), segmented scans (obl::aggregate_suffix,
+// obl::propagate_leftmost / propagate_marked), plain prefix scans, stable
+// oblivious compaction, and oblivious send-receive. The per-pass scratch
+// sizes are functions of (|L|, |R|, bound) alone, so the step sequence —
+// and with a network backend the entire comparator/access schedule — is
+// independent of table contents. Secret-dependent *values* are computed
+// branchlessly (obl::oselect) throughout; public parameters (sizes, band
+// mode, the aggregation operator) may branch freely.
 
 #include "rel/rel.hpp"
 
@@ -92,246 +93,7 @@ struct MaxOp {
   }
 };
 
-/// MULTIPLICITY pass: for every left row i (in input order) compute
-/// cnt[i] = number of matching right rows and start[i] = rank of its first
-/// match in (key, index)-sorted right order. One union sort + fixed scans;
-/// the equi path takes the bottom-up segmented aggregation, the band path
-/// two rank queries per left row.
-void multiplicity_pass(const slice<Elem>& left, const slice<Elem>& right,
-                       bool banded, uint64_t band,
-                       const slice<uint64_t>& cnt,
-                       const slice<uint64_t>& start,
-                       const SorterBackend& sorter) {
-  const size_t nl = left.size();
-  const size_t nr = right.size();
-  const size_t queries = banded ? 2 * nl : nl;
-  const size_t pu = util::pow2_ceil(queries + nr);
-  const uint64_t band_c =
-      obl::oselect<uint64_t>(band > kKeyLimit, kKeyLimit, band);
-
-  vec<Elem> unionv(pu);
-  const slice<Elem> u = unionv.s();
-  kernel::generate_range(
-      u, 0, pu, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        if (i < nl) {  // lo-query for left row i (the only query kind in
-                       // equi mode: it carries both scans' results)
-          const Elem l = left[i];
-          const uint64_t lo = obl::oselect<uint64_t>(band_c > l.key, 0,
-                                                     l.key - band_c);
-          e.key = banded ? lo : l.key;
-          e.extra = kTagLo;
-          e.aux = i;
-          e.payload = 0;
-        } else if (banded && i < 2 * nl) {  // hi-query for left row i - nl
-          const Elem l = left[i - nl];
-          const uint64_t hi = l.key + band_c;  // < 2^63: no overflow
-          e.key = obl::oselect<uint64_t>(hi > kKeyLimit, kKeyLimit, hi);
-          e.extra = kTagHi;
-          e.aux = i - nl;
-          e.payload = 0;
-        } else if (i < queries + nr) {  // right row
-          const Elem r = right[i - queries];
-          e.key = r.key;
-          e.extra = kTagRight;
-          e.aux = i - queries;
-          e.payload = 1;
-        } else {
-          e = Elem::filler();
-        }
-      });
-  sorter.sort(u, erase_less<Elem>(ByKeyTagIdx{}));
-
-  // Global rank of each position: inclusive prefix count of right rows.
-  // At a query (which contributes 0) inclusive == exclusive.
-  vec<uint64_t> rankv(pu);
-  const slice<uint64_t> rank = rankv.s();
-  kernel::generate_range(rank, 0, pu, kernel::Tick::PerElem,
-                         [&](uint64_t& v, size_t i) {
-                           v = u[i].extra == kTagRight ? 1u : 0u;
-                         });
-  obl::scan_inclusive(rank, Add{});
-
-  if (!banded) {
-    // Bottom-up multiplicity: one segmented suffix aggregation per the
-    // union's key-groups. Queries precede the right rows of their group,
-    // so a query's suffix sum is exactly its match count.
-    obl::aggregate_suffix(u, Add{});
-  }
-
-  // Re-key each query to its left-row index (hi-queries to odd slots) and
-  // absorb the rank; everything else sinks. One canonical sort then lands
-  // the per-row results at fixed positions.
-  kernel::transform_range(
-      u, 0, pu, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        const bool filler = (e.flags & Elem::kFiller) != 0;
-        const bool is_lo = (e.extra == kTagLo) & !filler;
-        const bool is_hi = (e.extra == kTagHi) & !filler;
-        if (banded) {
-          const uint64_t slot =
-              obl::oselect<uint64_t>(is_hi, (e.aux << 1) | 1, e.aux << 1);
-          e.key = obl::oselect<uint64_t>(is_lo | is_hi, slot, kSinkKey);
-          e.payload = rank[i];
-        } else {
-          e.key = obl::oselect<uint64_t>(is_lo, e.aux, kSinkKey);
-          e.aux = rank[i];  // payload already holds the aggregated count
-        }
-      });
-  sorter.sort(u);
-
-  kernel::for_each(0, nl, [&](size_t i) {
-    sim::tick(1);
-    if (banded) {
-      const uint64_t lo_rank = u[2 * i].payload;
-      const uint64_t hi_rank = u[2 * i + 1].payload;
-      cnt[i] = hi_rank - lo_rank;
-      start[i] = lo_rank;
-    } else {
-      cnt[i] = u[i].payload;
-      start[i] = u[i].aux;
-    }
-  });
-}
-
 }  // namespace
-
-uint64_t join_engine(const slice<Elem>& left, const slice<Elem>& right,
-                     bool banded, uint64_t band, const slice<Elem>& out,
-                     const SorterBackend& sorter) {
-  const size_t nl = left.size();
-  const size_t nr = right.size();
-  const size_t bound = out.size();
-  if (nl == 0 || nr == 0) {
-    kernel::fill_range(out, 0, bound, Elem::filler(), kernel::Tick::None);
-    return 0;
-  }
-
-  // Rank the right table by (key, input index): position p of the sorted
-  // table is the p-th match candidate the expansion will request.
-  const size_t pr = util::pow2_ceil(nr);
-  vec<Elem> rightsv(pr);
-  const slice<Elem> rs = rightsv.s();
-  kernel::generate_range(rs, 0, pr, kernel::Tick::PerElem,
-                         [&](Elem& e, size_t i) {
-                           if (i < nr) {
-                             e = right[i];
-                             e.aux = i;
-                           } else {
-                             e = Elem::filler();
-                           }
-                         });
-  sorter.sort(rs, erase_less<Elem>(ByKeyIdx{}));
-
-  // Phase 1 — per-left-row match count and first-match rank.
-  vec<uint64_t> cntv(nl), startv(nl);
-  vec<uint64_t> offv(nl);
-  uint64_t matched = 0;
-  {
-    obs::Span span("rel.multiplicity", "rows", nl + nr);
-    multiplicity_pass(left, right, banded, band, cntv.s(), startv.s(),
-                      sorter);
-
-    // Offsets: cnt prefix-summed in left input order fixes each left
-    // row's first output slot; the total is the true output size.
-    matched = obl::prefix_sum_exclusive(cntv.s(), offv.s(),
-                                        [](uint64_t c) { return c; });
-  }
-
-  if (bound == 0) return matched;
-
-  // Phase 2 — DISTRIBUTE-EXPAND. Frame = left rows (sources), one
-  // terminator closing the live region, `bound` output placeholders, and
-  // pow2 filler padding. One sort interleaves each source directly before
-  // the placeholders of its run; a prefix scan numbers the runs; oblivious
-  // propagation copies every source onto its run's placeholders; oblivious
-  // compaction drops the scaffolding, leaving the expanded left table.
-  //
-  // Each slot must learn its left row id and the rank of the right row it
-  // pairs with: slot j of left row i pairs with rank start[i] + (j -
-  // off[i]), so propagating delta = start[i] - off[i] (mod 2^64) lets the
-  // slot recover its request as j + delta. The terminator's delta points
-  // the padding slots past the right table (rank >= |R| -> no match).
-  const size_t pd = util::pow2_ceil(nl + 1 + bound);
-  vec<Elem> framev(pd);
-  const slice<Elem> frame = framev.s();
-  std::optional<obs::Span> phase_span;
-  phase_span.emplace("rel.distribute_expand", "frame", pd);
-  kernel::generate_range(
-      frame, 0, pd, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        if (i < nl) {  // source: left row i at its first output slot
-          const bool live = cntv[i] != 0;
-          e.key = obl::oselect<uint64_t>(live, offv[i] << 1, kSinkKey);
-          e.payload = left[i].payload;
-          e.aux = startv[i] - offv[i];
-          e.flags = Elem::kTemp;
-        } else if (i == nl) {  // terminator: pads every slot >= matched
-          e.key = matched << 1;
-          e.payload = kNoRow;
-          e.aux = nr - matched;
-          e.flags = Elem::kTemp;
-        } else if (i < nl + 1 + bound) {  // output placeholder j
-          const uint64_t j = i - nl - 1;
-          e.key = (j << 1) | 1;
-          e.payload = kNoRow;
-          e.aux = nr;
-          e.flags = Elem::kDest;
-        } else {
-          e = Elem::filler();
-        }
-      });
-  sorter.sort(frame);
-
-  // Number the runs: run id = inclusive count of sources up to here, so a
-  // source and the placeholders following it share one id.
-  vec<uint64_t> runv(pd);
-  const slice<uint64_t> run = runv.s();
-  kernel::generate_range(run, 0, pd, kernel::Tick::PerElem,
-                         [&](uint64_t& v, size_t i) {
-                           v = (frame[i].flags & Elem::kTemp) ? 1u : 0u;
-                         });
-  obl::scan_inclusive(run, Add{});
-  kernel::transform_range(frame, 0, pd, kernel::Tick::PerElem,
-                          [&](Elem& e, size_t i) { e.key = run[i]; });
-  obl::propagate_leftmost(frame);
-  kernel::transform_range(
-      frame, 0, pd, kernel::Tick::PerElem, [&](Elem& e, size_t) {
-        const bool keep = (e.flags & Elem::kDest) != 0;
-        e.flags |= obl::oselect<uint32_t>(keep, 0, Elem::kFiller);
-      });
-  obl::compact_oblivious(frame, sorter);
-  // frame[0..bound): slot j holds (payload = left row id or kNoRow,
-  // aux = delta), in output order.
-
-  // Phase 3 — ALIGN-CONCAT: route the rank-keyed right rows to the slots
-  // requesting them with one oblivious send-receive.
-  phase_span.emplace("rel.align_concat", "bound", bound);
-  vec<Elem> srcv(nr), dstv(bound), resv(bound);
-  const slice<Elem> src = srcv.s();
-  const slice<Elem> dst = dstv.s();
-  kernel::generate_range(src, 0, nr, kernel::Tick::PerElem,
-                         [&](Elem& e, size_t p) {
-                           e.key = p;
-                           e.payload = rs[p].payload;
-                         });
-  kernel::generate_range(dst, 0, bound, kernel::Tick::PerElem,
-                         [&](Elem& e, size_t j) {
-                           e.key = j + frame[j].aux;  // slot's request rank
-                           assert(e.key < (uint64_t{1} << 63));
-                         });
-  obl::detail::send_receive(src, dst, resv.s(), sorter);
-
-  kernel::generate_range(
-      out, 0, bound, kernel::Tick::PerElem, [&](Elem& e, size_t j) {
-        const Elem slot = frame[j];
-        const Elem got = resv.s()[j];
-        const bool live =
-            ((got.flags & Elem::kNotFound) == 0) & (slot.payload != kNoRow);
-        e.key = j;
-        e.payload = slot.payload;
-        e.aux = got.payload;
-        e.flags = obl::oselect<uint32_t>(live, 0, Elem::kFiller);
-      });
-  return matched;
-}
 
 uint64_t group_by_engine(const slice<Elem>& in, Agg agg,
                          const slice<Elem>& out,
@@ -409,12 +171,13 @@ uint64_t group_by_engine(const slice<Elem>& in, Agg agg,
   return groups;
 }
 
-// ---- coalesced (batched) engines ---------------------------------------
+// ---- batched engines: the general plans --------------------------------
 //
-// One shared plan over the concatenation of every slot's tables. Slot s's
-// rows ride composite keys (s << kBatchKeyBits) | key, so slots occupy
-// disjoint, slot-major key ranges and the per-slot order of every pass
-// equals the solo order. Per-slot scalars (offset bases, match counts,
+// The general plans (every group-by; joins on the full-sort backends, solo
+// calls as one slot) run one shared plan over the concatenation of every
+// slot's tables. Slot s's rows ride composite keys (s << kBatchKeyBits) |
+// key, so slots occupy disjoint, slot-major key ranges and the per-slot
+// order of every pass equals the solo order. Per-slot scalars (offset bases, match counts,
 // group counts) fall out of ONE global scan read back at the public
 // slot-boundary positions — the schedule stays a pure function of the
 // slot shape vector, and each slot's declassified result is bit-identical
@@ -497,83 +260,44 @@ void compact_segments(const slice<Elem>& a,
   });
 }
 
-/// Descending (key, tag, idx) order for the fast path's receiver sorts:
-/// recorded-network "ascending" under this comparator is descending under
-/// ByKeyTagIdx, which is what the bitonic merge layouts below need.
+/// Descending (key, tag, idx) order for the receiver sort: recorded-network
+/// "ascending" under this comparator is descending under ByKeyTagIdx,
+/// which is what the bitonic merge layouts below need.
 struct ByKeyTagIdxDesc {
   bool operator()(const Elem& a, const Elem& b) const {
     return ByKeyTagIdx{}(b, a);
   }
 };
 
-/// Equi-only per-slot fast path: same value contract as a solo
-/// join_engine run (slot-local out keys, identical ranks / truncation
-/// order / miss semantics — all derived from the same (key, input index)
-/// total orders), at O(m log m) routing cost where the general plan pays
-/// four frame-scale sorts:
-///
-///  * MULTIPLICITY: [queries asc | rank-sorted rights desc | key-0 pads]
-///    is bitonic under (key, tag, idx), so one recorded query sort plus
-///    one recorded bitonic merge replace the union sort; after the rank /
-///    count scans, tape replays return every query to its input position
-///    — no re-key sort.
-///  * DISTRIBUTE-EXPAND: run heads carry their first output slot as a
-///    monotone routing target; tight compaction + monotone distribution
-///    place them, and a linear sweep propagates heads over their runs.
-///  * ALIGN-CONCAT: receivers keyed by requested rank record-sort
-///    descending, one recorded merge interleaves them after their rank's
-///    right row, a linear sweep does the exact-match gather, and replays
-///    restore slot order.
-///
-/// Pads and fillers are value-inert everywhere they can interleave with
-/// tied records: they count zero in the rank scan, fold zero in the
-/// aggregation, and neither set nor absorb in the gather sweep.
-uint64_t equi_join_fast(const slice<Elem>& left, const slice<Elem>& right,
-                        const slice<Elem>& out) {
+/// Recorded plan, MULTIPLICITY: for every left row i, cnt[i] = number of
+/// matching right rows and start[i] = rank of its first match in the
+/// (key, index)-sorted right table `rs` (pow2-padded, nr real rows).
+void recorded_multiplicity(const slice<Elem>& left, const slice<Elem>& rs,
+                           size_t nr, bool banded, uint64_t band_c,
+                           const slice<uint64_t>& cnt,
+                           const slice<uint64_t>& start) {
   const size_t nl = left.size();
-  const size_t nr = right.size();
-  const size_t bound = out.size();
-  if (nl == 0 || nr == 0) {
-    kernel::fill_range(out, 0, bound, Elem::filler(), kernel::Tick::None);
-    return 0;
-  }
-
-  // Rank the right table by (key, input index); kept for the gather.
-  const size_t pr = util::pow2_ceil(nr);
-  vec<Elem> rsv(pr);
-  const slice<Elem> rs = rsv.s();
-  kernel::generate_range(rs, 0, pr, kernel::Tick::PerElem,
-                         [&](Elem& e, size_t p) {
-                           if (p < nr) {
-                             e = right[p];
-                             assert(e.key <= kMaxBatchKey &&
-                                    "rel: batched join keys must be <= "
-                                    "kMaxBatchKey");
-                             e.aux = p;
-                             e.extra = kTagRight;
-                           } else {
-                             e = Elem::filler();
-                           }
-                         });
-  std::vector<uint8_t> tape_rs;  // rs order is never undone
-  obl::bitonic_sort_record(rs, tape_rs, ByKeyIdx{});
-
-  // MULTIPLICITY.
-  const size_t pq = util::pow2_ceil(nl);
+  const size_t pr = rs.size();
+  // Queries: one per left row (equi) or a lo/hi pair at 2i, 2i + 1.
+  const size_t nq = banded ? 2 * nl : nl;
+  const size_t pq = util::pow2_ceil(nq);
   const size_t pm = util::pow2_ceil(pq + pr);
   vec<Elem> umv(pm);
   const slice<Elem> um = umv.s();
   kernel::generate_range(
       um, 0, pm, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        if (i < nl) {  // query for left row i
-          const Elem l = left[i];
-          assert(l.key <= kMaxBatchKey &&
-                 "rel: batched join keys must be <= kMaxBatchKey");
-          e.key = l.key;
+        if (i < nq) {
+          const bool hi = banded && (i & 1) != 0;
+          const uint64_t k = left[banded ? i >> 1 : i].key;
+          const uint64_t lo_k =
+              obl::oselect<uint64_t>(band_c > k, 0, k - band_c);
+          const uint64_t hi_k = obl::oselect<uint64_t>(
+              k + band_c > kKeyLimit, kKeyLimit, k + band_c);
+          e.key = banded ? (hi ? hi_k : lo_k) : k;  // public branches
           e.payload = 0;
           e.aux = i;
           e.flags = 0;
-          e.extra = kTagLo;
+          e.extra = hi ? kTagHi : kTagLo;
         } else if (i < pq) {
           e = Elem::filler();
         } else if (i < pq + pr) {  // rank-sorted right table, reversed
@@ -585,96 +309,101 @@ uint64_t equi_join_fast(const slice<Elem>& left, const slice<Elem>& right,
           e.flags = Elem::kFiller;
         }
       });
-  std::vector<uint8_t> tape_q, tape_m;
+  vec<uint8_t> tape_q, tape_m;
   obl::bitonic_sort_record(um.sub(0, pq), tape_q, ByKeyTagIdx{});
   obl::bitonic_merge_record(um, tape_m, ByKeyTagIdx{});
 
-  // Inclusive prefix count of right rows: at a query (which counts zero
-  // and precedes its key group's rights) this is its first-match rank.
-  std::vector<uint64_t> rank(pm);
-  {
-    uint64_t r = 0;
-    sim::tick(pm);
-    for (size_t i = 0; i < pm; ++i) {
-      r += static_cast<uint64_t>(um[i].extra == kTagRight);
-      rank[i] = r;
-    }
-  }
-  obl::aggregate_suffix(um, Add{});  // query payload <- match count
+  vec<uint64_t> rankv(pm);
+  const slice<uint64_t> rank = rankv.s();
+  kernel::generate_range(rank, 0, pm, kernel::Tick::PerElem,
+                         [&](uint64_t& v, size_t i) {
+                           v = um[i].extra == kTagRight ? 1u : 0u;
+                         });
+  obl::scan_inclusive(rank, Add{});
+  // Equi: queries precede their key group's rights, so a query's suffix
+  // count is its match count (payload). Band reads counts off the ranks.
+  if (!banded) obl::aggregate_suffix(um, Add{});
   kernel::transform_range(um, 0, pm, kernel::Tick::PerElem,
                           [&](Elem& e, size_t i) { e.aux = rank[i]; });
   obl::bitonic_merge_unreplay(um, tape_m);
   obl::bitonic_sort_unreplay(um.sub(0, pq), tape_q);
 
-  // Queries are back at [0, nl) in input order; offsets in one scan.
-  std::vector<uint64_t> cnt(nl), start(nl), off(nl);
-  uint64_t matched = 0;
-  sim::tick(nl);
-  for (size_t i = 0; i < nl; ++i) {
-    cnt[i] = um[i].payload;
-    start[i] = um[i].aux;
-    off[i] = matched;
-    matched += cnt[i];
-  }
-  if (bound == 0) return matched;
-
-  // DISTRIBUTE-EXPAND by monotone routing instead of a frame sort.
-  const size_t pf = util::pow2_ceil(nl + 1);
-  const size_t pb = util::pow2_ceil(bound);
-  vec<Elem> fav(pf);
-  const slice<Elem> fa = fav.s();
-  kernel::generate_range(
-      fa, 0, pf, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        if (i < nl) {  // source: left row i at its first output slot
-          const bool live = (cnt[i] != 0) & (off[i] < bound);
-          e.key = off[i];  // routing target
-          e.payload = left[i].payload;
-          e.aux = start[i] - off[i];  // rank delta (mod 2^64)
-          e.flags = obl::oselect<uint32_t>(live, Elem::kTemp, 0);
-          e.extra = 0;
-        } else if (i == nl) {  // terminator pads slots >= matched
-          const bool live = matched < bound;
-          const uint64_t mc =
-              obl::oselect<uint64_t>(live, matched, bound);
-          e.key = mc;
-          e.payload = kNoRow;
-          e.aux = nr - mc;
-          e.flags = obl::oselect<uint32_t>(live, Elem::kTemp, 0);
-          e.extra = 0;
-        } else {
-          e = Elem::filler();
-        }
-      });
-  obl::compact_monotone(fa, Elem::kTemp);
-  // Live head count <= bound <= pb, so truncating at pb keeps every head.
-  vec<Elem> fbv(pb);
-  const slice<Elem> fb = fbv.s();
-  kernel::generate_range(fb, 0, pb, kernel::Tick::PerElem,
-                         [&](Elem& e, size_t j) {
-                           e = j < pf ? fa[j] : Elem::filler();
-                         });
-  obl::distribute_monotone(fb, Elem::kTemp);
-  assert((fb[0].flags & Elem::kTemp) != 0 && "rel: slot 0 has a run head");
-
-  // Propagate run heads rightward: slot j inherits the nearest head at
-  // or before j (the general plan's propagate_leftmost, linearized).
-  std::vector<uint64_t> jpay(bound), jdelta(bound);
-  {
-    Elem cur{};
-    cur.payload = kNoRow;
-    sim::tick(bound);
-    for (size_t j = 0; j < bound; ++j) {
-      obl::oassign((fb[j].flags & Elem::kTemp) != 0, cur, fb[j]);
-      jpay[j] = cur.payload;
-      jdelta[j] = cur.aux;
+  // Queries are back at [0, nq) in input order.
+  kernel::for_each(0, nl, [&](size_t i) {
+    sim::tick(1);
+    if (banded) {
+      const uint64_t lo_rank = um[2 * i].aux;
+      cnt[i] = um[2 * i + 1].aux - lo_rank;
+      start[i] = lo_rank;
+    } else {
+      cnt[i] = um[i].payload;
+      start[i] = um[i].aux;
     }
-  }
+  });
+}
 
-  // ALIGN-CONCAT: exact-match gather of right payloads by rank.
-  const size_t pg = pb;
-  const size_t pm2 = util::pow2_ceil(pr + pg);
-  vec<Elem> gmv(pm2);
-  const slice<Elem> gm = gmv.s();
+/// Recorded plan, DISTRIBUTE-EXPAND: slot j < bound of `fb` (pow2 >=
+/// bound) ends up holding payload = its left row id (kNoRow past the
+/// matches) and aux = the rank delta, so slot j requests right rank
+/// j + aux.
+void recorded_expand(const slice<Elem>& left, const slice<uint64_t>& cnt,
+                     const slice<uint64_t>& start,
+                     const slice<uint64_t>& off, uint64_t matched, size_t nr,
+                     size_t bound, const slice<Elem>& fb) {
+  const size_t nl = left.size();
+  const size_t pf = util::pow2_ceil(nl + 1);
+  const size_t pb = fb.size();
+  {
+    // Run heads at their first output slot, then compacted to the front.
+    vec<Elem> fav(pf);
+    const slice<Elem> fa = fav.s();
+    kernel::generate_range(
+        fa, 0, pf, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
+          if (i < nl) {  // source: left row i at its first output slot
+            const uint64_t o = off[i];
+            const bool live = (cnt[i] != 0) & (o < bound);
+            e.key = o;  // routing target
+            e.payload = left[i].payload;
+            e.aux = start[i] - o;  // rank delta (mod 2^64)
+            e.flags = obl::oselect<uint32_t>(live, Elem::kTemp, 0);
+            e.extra = 0;
+          } else if (i == nl) {  // terminator pads slots >= matched
+            const bool live = matched < bound;
+            const uint64_t mc = obl::oselect<uint64_t>(live, matched, bound);
+            e.key = mc;
+            e.payload = kNoRow;
+            e.aux = nr - mc;
+            e.flags = obl::oselect<uint32_t>(live, Elem::kTemp, 0);
+            e.extra = 0;
+          } else {
+            e = Elem::filler();
+          }
+        });
+    obl::compact_monotone(fa, Elem::kTemp);
+    // Live head count <= bound <= pb: truncating at pb keeps every head.
+    kernel::generate_range(fb, 0, pb, kernel::Tick::PerElem,
+                           [&](Elem& e, size_t j) {
+                             e = j < pf ? fa[j] : Elem::filler();
+                           });
+  }
+  obl::distribute_monotone(fb, Elem::kTemp);
+  // Slot 0 always holds a head (the first live source has offset 0, else
+  // the terminator targets 0), so every slot j inherits the (left row id,
+  // rank delta) of the nearest head at or before it.
+  obl::propagate_marked(
+      fb, [](const Elem& e) { return (e.flags & Elem::kTemp) != 0; });
+}
+
+/// Recorded plan, ALIGN-CONCAT: gm[pr + j] (j < bound) receives the
+/// payload of the right row at rank j + fb[j].aux, flagged kNotFound when
+/// no such rank exists. `gm` has size pow2(pr + fb.size()).
+void recorded_gather(const slice<Elem>& rs, size_t nr, const slice<Elem>& fb,
+                     size_t bound, const slice<Elem>& gm) {
+  const size_t pr = rs.size();
+  const size_t pb = fb.size();
+  const size_t pm2 = gm.size();
+  // Sources carry their rank in both key and aux; receivers start with
+  // aux = kSinkKey, which no rank equals.
   kernel::generate_range(
       gm, 0, pm2, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
         if (i < nr) {  // source: right payload at rank i
@@ -687,50 +416,122 @@ uint64_t equi_join_fast(const slice<Elem>& left, const slice<Elem>& right,
           e = Elem::filler();
         } else if (i < pr + bound) {  // receiver for output slot j
           const size_t j = i - pr;
-          e.key = j + jdelta[j];  // requested rank (ranks >= |R| miss)
+          e.key = j + fb[j].aux;  // requested rank (ranks >= |R| miss)
           assert(e.key < (uint64_t{1} << 63));
           e.payload = 0;
-          e.aux = j;
+          e.aux = kSinkKey;
           e.flags = 0;
           e.extra = kTagRight;
-        } else if (i < pr + pg) {
+        } else if (i < pr + pb) {
           e = Elem::filler();
         } else {  // key-0 pad
           e = Elem{};
           e.flags = Elem::kFiller;
         }
       });
-  std::vector<uint8_t> tape_g, tape_m2;
-  obl::bitonic_sort_record(gm.sub(pr, pg), tape_g, ByKeyTagIdxDesc{});
-  obl::bitonic_merge_record(gm, tape_m2, ByKeyTagIdx{});
+  vec<uint8_t> tape_g, tape_m;
+  obl::bitonic_sort_record(gm.sub(pr, pb), tape_g, ByKeyTagIdxDesc{});
+  obl::bitonic_merge_record(gm, tape_m, ByKeyTagIdx{});
+  obl::propagate_marked(gm, [](const Elem& e) {
+    return (e.extra == kTagLo) & ((e.flags & Elem::kFiller) == 0);
+  });
+  kernel::transform_range(
+      gm, 0, pm2, kernel::Tick::PerElem, [&](Elem& e, size_t) {
+        const bool miss = (e.extra == kTagRight) & (e.aux != e.key);
+        e.flags |= obl::oselect<uint32_t>(miss, Elem::kNotFound, 0);
+      });
+  obl::bitonic_merge_unreplay(gm, tape_m);
+  obl::bitonic_sort_unreplay(gm.sub(pr, pb), tape_g);
+}
 
-  {  // exact-match propagate-absorb sweep
-    uint64_t cur_key = kSinkKey;
-    uint64_t cur_pay = kNoRow;
-    sim::tick(pm2);
-    for (size_t i = 0; i < pm2; ++i) {
-      Elem e = gm[i];
-      const bool is_src =
-          (e.extra == kTagLo) & ((e.flags & Elem::kFiller) == 0);
-      cur_key = obl::oselect<uint64_t>(is_src, e.key, cur_key);
-      cur_pay = obl::oselect<uint64_t>(is_src, e.payload, cur_pay);
-      const bool is_rcv = e.extra == kTagRight;
-      const bool hit = is_rcv & (cur_key == e.key);
-      e.payload = obl::oselect<uint64_t>(hit, cur_pay, e.payload);
-      e.flags |= obl::oselect<uint32_t>(is_rcv & !hit, Elem::kNotFound, 0);
-      gm[i] = e;
-    }
+/// The recorded-network join plan for one slot (equi, or band when
+/// `banded`): every comparator-network backend's joins run it, solo and
+/// coalesced. Its permutations are recorded bitonic networks
+/// (obl/route.hpp) undone by tape replay, so it pays O(m log m) routing
+/// where the general plan pays frame-scale sorts:
+///
+///  * MULTIPLICITY: [queries asc | rank-sorted rights desc | key-0 pads]
+///    is bitonic under (key, tag, idx), so one recorded query sort plus
+///    one recorded bitonic merge replace the union sort. An inclusive
+///    prefix count of right rows gives each query its rank: at a
+///    lo-query (tag 0, before its key's rights) the number of right keys
+///    below it, at a hi-query (tag 2, after them) the number at or below
+///    it. Band joins carry a lo/hi query pair per left row, so cnt =
+///    hi_rank - lo_rank and start = lo_rank; equi joins carry one query
+///    whose segmented suffix count is its match count. Tape replays
+///    return every query to its input position — no re-key sort.
+///  * DISTRIBUTE-EXPAND: run heads carry their first output slot as a
+///    monotone routing target; tight compaction + monotone distribution
+///    place them, and a propagation from the heads fills their runs.
+///  * ALIGN-CONCAT: receivers keyed by requested rank record-sort
+///    descending, one recorded merge interleaves them after their rank's
+///    right row, a propagation from the right rows does the exact-match
+///    gather, and replays restore slot order.
+///
+/// Same value contract as the general plan (slot-local out keys, ranks,
+/// truncation order and miss semantics all come from the same (key, input
+/// index) total orders). Pads and fillers are value-inert wherever they
+/// interleave with tied records: they count zero in the rank scan, fold
+/// zero in the aggregation, and never head a propagation. Each phase's
+/// scratch dies with its helper, keeping the peak footprint to one
+/// phase's.
+uint64_t recorded_join(const slice<Elem>& left, const slice<Elem>& right,
+                       bool banded, uint64_t band, const slice<Elem>& out) {
+  const size_t nl = left.size();
+  const size_t nr = right.size();
+  const size_t bound = out.size();
+  if (nl == 0 || nr == 0) {
+    kernel::fill_range(out, 0, bound, Elem::filler(), kernel::Tick::None);
+    return 0;
   }
-  obl::bitonic_merge_unreplay(gm, tape_m2);
-  obl::bitonic_sort_unreplay(gm.sub(pr, pg), tape_g);
+  const uint64_t band_c =
+      obl::oselect<uint64_t>(band > kKeyLimit, kKeyLimit, band);
 
+  std::optional<obs::Span> phase_span;
+  phase_span.emplace("rel.multiplicity", "rows", nl + nr);
+  // Rank the right table by (key, input index); kept for the gather.
+  const size_t pr = util::pow2_ceil(nr);
+  vec<Elem> rsv(pr);
+  const slice<Elem> rs = rsv.s();
+  kernel::generate_range(rs, 0, pr, kernel::Tick::PerElem,
+                         [&](Elem& e, size_t p) {
+                           if (p < nr) {
+                             e = right[p];
+                             e.aux = p;
+                             e.extra = kTagRight;
+                           } else {
+                             e = Elem::filler();
+                           }
+                         });
+  {
+    vec<uint8_t> tape_rs;  // rs order is never undone
+    obl::bitonic_sort_record(rs, tape_rs, ByKeyIdx{});
+  }
+  vec<uint64_t> cntv(nl), startv(nl), offv(nl);
+  recorded_multiplicity(left, rs, nr, banded, band_c, cntv.s(), startv.s());
+  const uint64_t matched = obl::prefix_sum_exclusive(
+      cntv.s(), offv.s(), [](uint64_t c) { return c; });
+  if (bound == 0) return matched;
+
+  phase_span.emplace("rel.distribute_expand", "bound", bound);
+  const size_t pb = util::pow2_ceil(bound);
+  vec<Elem> fbv(pb);
+  const slice<Elem> fb = fbv.s();
+  recorded_expand(left, cntv.s(), startv.s(), offv.s(), matched, nr, bound,
+                  fb);
+
+  phase_span.emplace("rel.align_concat", "bound", bound);
+  vec<Elem> gmv(util::pow2_ceil(pr + pb));
+  const slice<Elem> gm = gmv.s();
+  recorded_gather(rs, nr, fb, bound, gm);
   kernel::generate_range(
       out, 0, bound, kernel::Tick::PerElem, [&](Elem& e, size_t j) {
+        const Elem head = fb[j];
         const Elem got = gm[pr + j];
         const bool live =
-            ((got.flags & Elem::kNotFound) == 0) & (jpay[j] != kNoRow);
+            ((got.flags & Elem::kNotFound) == 0) & (head.payload != kNoRow);
         e.key = j;
-        e.payload = jpay[j];
+        e.payload = head.payload;
         e.aux = got.payload;
         e.flags = obl::oselect<uint32_t>(live, 0, Elem::kFiller);
         e.extra = 0;
@@ -752,7 +553,6 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
       bbase(S + 1);
   std::vector<size_t> prbase(S + 1), pubase(S + 1), pfbase(S + 1);
   bool any_equi = false;
-  bool any_banded = false;
   for (size_t s = 0; s < S; ++s) {
     assert(slots[s].bound < (size_t{1} << 33) &&
            "rel: batched per-slot bound must be < 2^33");
@@ -765,7 +565,6 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
     pubase[s + 1] = pubase[s] + padded(nq + slots[s].nr);
     pfbase[s + 1] = pfbase[s] + padded(slots[s].nl + 1 + slots[s].bound);
     any_equi |= !slots[s].banded;
-    any_banded |= slots[s].banded;
   }
   const size_t NL = lbase[S], NR = rbase[S], B = bbase[S];
   assert(left.size() == NL && right.size() == NR && out.size() == B);
@@ -776,20 +575,22 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
     return matched;
   }
 
-  // All-equi batches (the common coalesced-serving shape) take the
-  // per-slot fast path: recorded comparator networks + monotone routing
-  // replace the general plan's frame-scale sorts, slot-identical values
-  // either way (see equi_join_fast). Mixed / banded batches run the
-  // segmented plan below.
-  if (!any_banded) {
-    obs::Span span("rel.equi_fast_batch", "slots", S);
+  // Comparator-network backends run the recorded-network plan per slot
+  // (slots are independent there, concurrently across the pool); the
+  // full-sort backends run the segmented general plan below, so their
+  // canonical sorts realize the full oblivious sort.
+  if (sorter.is_network()) {
     fj::for_range(0, S, 1, [&](size_t s) {
-      matched[s] = equi_join_fast(left.sub(lbase[s], slots[s].nl),
-                                  right.sub(rbase[s], slots[s].nr),
-                                  out.sub(bbase[s], slots[s].bound));
+      const JoinSlot& sl = slots[s];
+      matched[s] = recorded_join(left.sub(lbase[s], sl.nl),
+                                 right.sub(rbase[s], sl.nr), sl.banded,
+                                 sl.band, out.sub(bbase[s], sl.bound));
     });
     return matched;
   }
+  // Composite keys: a lone slot needs no slot tag, so it takes the whole
+  // solo key range.
+  const uint64_t key_max = S == 1 ? kKeyLimit - 1 : kMaxBatchKey;
   std::optional<obs::Span> phase_span;
 
   // Rank the right tables by (composite key, input index): slot-major
@@ -805,8 +606,7 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
         if (local < slots[s].nr) {
           const size_t gi = rbase[s] + local;
           e = right[gi];
-          assert(e.key <= kMaxBatchKey &&
-                 "rel: batched join keys must be <= kMaxBatchKey");
+          assert(e.key <= key_max && "rel: join key out of range");
           e.key = slot_key(s, e.key);
           e.aux = gi;
         } else {
@@ -836,17 +636,15 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
           const size_t row = sl.banded ? rq >> 1 : rq;
           const bool is_hi = sl.banded && (rq & 1);
           const Elem l = left[lbase[s] + row];
-          assert(l.key <= kMaxBatchKey &&
-                 "rel: batched join keys must be <= kMaxBatchKey");
+          assert(l.key <= key_max && "rel: join key out of range");
           uint64_t k = l.key;
           if (sl.banded) {  // public per-slot branch (shape data)
             const uint64_t band_c = obl::oselect<uint64_t>(
-                sl.band > kMaxBatchKey, kMaxBatchKey, sl.band);
+                sl.band > key_max, key_max, sl.band);
             const uint64_t lo = obl::oselect<uint64_t>(band_c > l.key, 0,
                                                        l.key - band_c);
             const uint64_t hi = obl::oselect<uint64_t>(
-                l.key + band_c > kMaxBatchKey, kMaxBatchKey,
-                l.key + band_c);
+                l.key + band_c > key_max, key_max, l.key + band_c);
             k = is_hi ? hi : lo;
           }
           e.key = slot_key(s, k);
@@ -925,8 +723,10 @@ std::vector<uint64_t> join_engine_batched(const slice<Elem>& left,
   // the public slot boundaries.
   const uint64_t total = obl::prefix_sum_exclusive(
       cnt, off, [](uint64_t c) { return c; });
+  // Slot 0's base is off[0] = 0 by construction.
   std::vector<uint64_t> cbase(S + 1, total);
-  for (size_t s = 0; s <= S; ++s) {
+  cbase[0] = 0;
+  for (size_t s = 1; s < S; ++s) {
     sim::tick(1);
     if (lbase[s] < NL) cbase[s] = off[lbase[s]];
   }

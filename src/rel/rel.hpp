@@ -20,20 +20,36 @@
 //                           {.output_bound = 4096});
 //   for (auto& [o, it] : res.rows) ...
 //
-// Join recipe (the equi-join is the band = 0 specialization of the same
-// four-phase plan):
-//   1. MULTIPLICITY: sort the union of both tables by (key, side); one
-//      segmented suffix aggregation (equi) or two rank queries per left
-//      row (band) yield, for every left row, the count of matching right
-//      rows and the rank of its first match in key-sorted right order.
+// Join plans. Solo and coalesced joins share one engine
+// (detail::join_engine_batched; a solo call is a one-slot batch), which
+// picks the plan by the backend's kind (SorterBackend::is_network()):
+//
+//   * comparator-network backends ("bitonic_ca", "bitonic",
+//     "naive_bitonic", "odd_even", ...) run the RECORDED-NETWORK plan per
+//     slot. Whatever network the backend names, these joins run the
+//     recorded bitonic network of obl/route.hpp: sorts whose swap tapes
+//     are replayed to undo them, plus monotone routing, in fork-join
+//     recursion (O(m log^2 m) work, polylog span, cache-agnostic);
+//   * full-sort backends ("osort", "spms") run the SEGMENTED GENERAL plan,
+//     so their canonical sorts realize the full oblivious sort.
+//
+// Both follow the same three phases (the equi-join is the band = 0
+// specialization):
+//   1. MULTIPLICITY: order the union of both tables by (key, side), with
+//      a lo-query before and (band) a hi-query after the right rows of
+//      equal key; a prefix count of right rows (plus, for equi, one
+//      segmented suffix count) yields, for every left row, the count of
+//      matching right rows and the rank of its first match in key-sorted
+//      right order.
 //   2. DISTRIBUTE-EXPAND: prefix sums turn counts into output offsets;
-//      left rows are distributed into the padded output frame with one
-//      oblivious sort, the gaps are filled by oblivious propagation, and
-//      oblivious compaction drops the distribution scaffolding. Every
-//      output slot now holds its left row and the rank of the right row
-//      it must pair with.
-//   3. ALIGN-CONCAT: one oblivious send-receive routes the rank-keyed
-//      right rows to the slots that request them.
+//      left rows are placed at their first output slot (general plan: one
+//      frame sort, compaction; recorded plan: monotone compaction and
+//      distribution) and propagated over their run of slots. Every output
+//      slot now holds its left row and the rank of the right row it must
+//      pair with.
+//   3. ALIGN-CONCAT: the rank-keyed right rows are routed to the slots
+//      that request them (general plan: one send-receive; recorded plan:
+//      a recorded sort + merge, an exact-match propagation, replays).
 //
 // Obliviousness contract: for fixed table sizes and a fixed public output
 // bound, the sequence of scratch-array sizes, sorts, scans and routing
@@ -72,15 +88,18 @@ inline constexpr uint64_t kNoRow = ~uint64_t{0};
 // ---- coalesced (batched) operator plans --------------------------------
 //
 // The serving layer merges many small compatible join / group-by requests
-// into ONE shared plan: each request becomes a *slot*, its keys are tagged
-// with the slot id in the top bits of the union-sort composite key
-// ((slot << kBatchKeyBits) | key), and every pass of the solo plan runs
-// once over the concatenated tables. Because slots occupy disjoint
-// composite-key ranges, the per-slot order inside every shared sort equals
-// the solo order, so each slot's output is bit-identical to a solo run of
-// the same request. The shared distribute-expand frame's public bound is
-// the SUM of the per-slot output bounds, split back per slot at public
-// offsets. The schedule is a pure function of the slot shape vector.
+// into ONE batch; each request becomes a *slot*. Joins on a network
+// backend run every slot's recorded plan on its own slice of the
+// concatenated tables, concurrently. The general plans (every group-by,
+// and joins on a full-sort backend) tag each key with its slot id in the
+// top bits of a composite key ((slot << kBatchKeyBits) | key) and run
+// every pass once over the concatenated tables. Because slots occupy
+// disjoint composite-key ranges, the per-slot order inside every shared
+// sort equals the solo order, so each slot's output is bit-identical to a
+// solo run of the same request. The shared distribute-expand frame's
+// public bound is the SUM of the per-slot output bounds, split back per
+// slot at public offsets. Either way the schedule is a pure function of
+// the slot shape vector.
 
 /// Bits of a batched composite key carrying the row's own key; the slot id
 /// rides above them. Mirrors the serving layer's sort-coalescing layout.
@@ -165,15 +184,6 @@ namespace detail {
 // row index in .payload. They run entirely inside the Runtime's execution
 // environment (tracked buffers, fork-join pool, measurement session).
 
-/// Join engine shared by equi (banded = false) and band join. Writes the
-/// aligned pairs into `out` (size = output bound): out[j].payload = left
-/// row id, out[j].aux = right row id, padding slots flagged kFiller.
-/// Returns the true total match count.
-uint64_t join_engine(const slice<obl::Elem>& left,
-                     const slice<obl::Elem>& right, bool banded,
-                     uint64_t band, const slice<obl::Elem>& out,
-                     const SorterBackend& sorter);
-
 /// Group-by engine: `in` rows carry key in .key and the value in .payload.
 /// Writes one Elem per group into `out` (size = group bound): key = group
 /// key, payload = aggregate, aux = group size; padding flagged kFiller.
@@ -182,14 +192,18 @@ uint64_t group_by_engine(const slice<obl::Elem>& in, Agg agg,
                          const slice<obl::Elem>& out,
                          const SorterBackend& sorter);
 
-/// Coalesced join engine: `left`/`right` are the slot-concatenated tables
-/// (slot s's rows at the public offsets implied by `slots`, raw per-slot
-/// key in .key, caller row id in .payload) and `out` has size
-/// sum(slots[s].bound). Writes each slot's solo join_engine output —
-/// bit-identical at the (payload = left id, aux = right id, kFiller) level
-/// — into its share of the frame, local output position in .key. Returns
-/// the per-slot true match counts. Contract: keys <= kMaxBatchKey, slot
-/// count <= kMaxRelBatchSlots, per-slot bound < 2^33.
+/// The join engine, solo (one slot) and coalesced: `left`/`right` are the
+/// slot-concatenated tables (slot s's rows at the public offsets implied
+/// by `slots`, raw per-slot key in .key, caller row id in .payload) and
+/// `out` has size sum(slots[s].bound). Writes each slot's join — the
+/// aligned pairs, out[j].payload = left row id, out[j].aux = right row
+/// id, local output position in .key, padding slots flagged kFiller —
+/// into its share of the frame; a slot's share depends on that slot's
+/// request alone. Returns the per-slot true match counts. Network
+/// backends run the recorded-network plan, full-sort backends the
+/// segmented general plan (see the top of this file). Contract: keys <
+/// kKeyLimit for one slot, <= kMaxBatchKey for more; slot count <=
+/// kMaxRelBatchSlots; per-slot bound < 2^33.
 std::vector<uint64_t> join_engine_batched(const slice<obl::Elem>& left,
                                           const slice<obl::Elem>& right,
                                           const std::vector<JoinSlot>& slots,

@@ -1,15 +1,6 @@
 #include "sim/memlog.hpp"
 
-#include "sim/ticks.hpp"
-
 namespace dopar::sim {
-
-namespace detail {
-Session*& tls_session() {
-  thread_local Session* s = nullptr;
-  return s;
-}
-}  // namespace detail
 
 uint64_t MemLog::digest() const {
   uint64_t h = 0xcbf29ce484222325ULL;

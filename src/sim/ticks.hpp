@@ -26,8 +26,10 @@ struct Cost {
 class Session;  // defined in session.hpp
 
 namespace detail {
-// Thread-local active session. Defined in memlog.cpp to keep one TU owner.
-Session*& tls_session();
+// Thread-local active session. Defined inline so every tracked access and
+// tick pays one thread-local load, not an out-of-line call, on native runs.
+inline thread_local Session* tls_session_ptr = nullptr;
+inline Session*& tls_session() { return tls_session_ptr; }
 }  // namespace detail
 
 inline Session* current_session() { return detail::tls_session(); }

@@ -16,13 +16,15 @@
 //                     (svc/coalesce.hpp) on the Runtime's comparator-
 //                     network sorter layer (Runtime::backend_sort);
 //       * join      — equi_join()/band_join() requests share one batched
-//                     join plan (rel::detail::join_engine_batched):
-//                     slot-tagged composite keys ride the multiplicity
-//                     union sort, and ONE distribute-expand frame — its
-//                     public bound the SUM of the per-request output
-//                     bounds — is split back per slot. Equi and band
-//                     requests coalesce freely (bandedness is per-slot
-//                     public shape).
+//                     join (rel::detail::join_engine_batched, the engine
+//                     solo joins run too): on a network backend each
+//                     slot runs the recorded-network plan, concurrently;
+//                     on a full-sort backend slot-tagged composite keys
+//                     ride one multiplicity union sort and ONE
+//                     distribute-expand frame — its public bound the SUM
+//                     of the per-request output bounds — is split back
+//                     per slot. Equi and band requests coalesce freely
+//                     (bandedness is per-slot public shape).
 //       * group-by  — group_by_aggregate() requests with the SAME
 //                     aggregation operator share one batched grouping
 //                     plan the same way (the operator is part of the

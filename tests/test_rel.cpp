@@ -422,6 +422,49 @@ TEST(RelContract, KeyLimitEnforcedOnEveryEntryPointBeforeAnySeed) {
   EXPECT_EQ(permuted(rt), permuted(twin));
 }
 
+TEST(RelContract, JoinBoundarySweepMatchesOracle) {
+  // Every solo equi/band call must match the insecure oracle, match count
+  // and truncation order included, at the edges of every documented range:
+  // sizes {0, 1, 2, 2^k +- 1}, output bounds {0 (= |L|*|R|), 1, below the
+  // match count, exact, above it}, bands {0, 1, 2^62 - 1}, and keys at the
+  // batch-tag edge (2^48 - 1, 2^48) and the key limit (2^62 - 1). Network
+  // backends run the recorded-network plan (keys >= 2^48 included),
+  // "osort" the general plan.
+  const uint64_t kKeys[] = {0, rel::kMaxBatchKey, rel::kMaxBatchKey + 1,
+                            rel::kKeyLimit - 1};
+  const size_t kSizes[] = {0, 1, 2, 7, 9, 31, 33};
+  const uint64_t kBands[] = {0, 1, rel::kKeyLimit - 1};
+  for (const char* backend : {"bitonic_ca", "odd_even", "osort"}) {
+    auto rt = Runtime::builder().seed(31).backend(backend).build();
+    util::Rng rng(77);
+    for (size_t nl : kSizes) {
+      for (size_t nr : kSizes) {
+        std::vector<LRow> L(nl);
+        std::vector<RRow> R(nr);
+        for (size_t i = 0; i < nl; ++i) L[i] = {kKeys[rng.below(4)], i};
+        for (size_t i = 0; i < nr; ++i) R[i] = {kKeys[rng.below(4)], 100 + i};
+        for (int mode = -1; mode < 3; ++mode) {  // -1: equi, else a band
+          const bool banded = mode >= 0;
+          const uint64_t band = banded ? kBands[mode] : 0;
+          const Pairs want = oracle_join(L, R, banded, band);
+          const size_t m = want.size();
+          for (size_t bound : {size_t{0}, size_t{1}, m / 2, m, m + 3}) {
+            SCOPED_TRACE(std::string(backend) + " nl=" + std::to_string(nl) +
+                         " nr=" + std::to_string(nr) +
+                         " mode=" + std::to_string(mode) +
+                         " bound=" + std::to_string(bound));
+            const auto res = banded ? run_band(rt, L, R, band, bound)
+                                    : run_equi(rt, L, R, bound);
+            const size_t keep = bound == 0 ? m : std::min(bound, m);
+            EXPECT_EQ(res.matched, m);
+            EXPECT_EQ(ids_of(res), Pairs(want.begin(), want.begin() + keep));
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- obliviousness pins ------------------------------------------------
 
 /// Run the full operator battery on one traced Runtime and return the

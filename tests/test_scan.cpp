@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "forkjoin/pool.hpp"
 #include "obl/aggregate.hpp"
 #include "obl/compact.hpp"
 #include "obl/propagate.hpp"
@@ -72,6 +73,59 @@ TEST(Scan, NonCommutativeCombineKeepsArrayOrder) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(v.underlying()[i].first, 0u);
     EXPECT_EQ(v.underlying()[i].last, i);
+  }
+}
+
+TEST(Scan, NativeBlockedScanMatchesTreeScan) {
+  // Native runs scan in blocks (per-block folds, carries, rescans); the
+  // instrumented tree scan and a serial fold must agree with it on every
+  // block layout, for a non-commutative combine: affine maps x -> a*x + b
+  // composed in array order.
+  struct Affine {
+    uint64_t a = 1, b = 0;
+    bool operator==(const Affine&) const = default;
+  };
+  struct Compose {
+    Affine operator()(const Affine& f, const Affine& g) const {
+      return Affine{g.a * f.a, g.a * f.b + g.b};
+    }
+  };
+  for (size_t n : {obl::detail::kScanBlock, obl::detail::kScanBlock + 1,
+                   3 * obl::detail::kScanBlock + 17,
+                   5 * obl::detail::kScanBlock}) {
+    util::Rng rng(n);
+    std::vector<Affine> in(n);
+    for (Affine& f : in) f = Affine{rng() | 1, rng()};
+    for (bool rev : {false, true}) {
+      std::vector<Affine> want = in;
+      if (rev) {
+        for (size_t i = n - 1; i-- > 0;) {
+          want[i] = Compose{}(want[i], want[i + 1]);
+        }
+      } else {
+        for (size_t i = 1; i < n; ++i) {
+          want[i] = Compose{}(want[i - 1], want[i]);
+        }
+      }
+      auto scan = [&](vec<Affine>& v) {
+        if (rev) {
+          obl::scan_inclusive_reverse(v.s(), Compose{});
+        } else {
+          obl::scan_inclusive(v.s(), Compose{});
+        }
+      };
+      vec<Affine> native(in);
+      {
+        fj::WithPool wp(3);
+        wp.run([&] { scan(native); });
+      }
+      EXPECT_TRUE(native.underlying() == want) << n << " rev=" << rev;
+      sim::Session s = sim::Session::analytic();
+      sim::ScopedSession guard(s);
+      vec<Affine> tree(in);
+      scan(tree);
+      EXPECT_TRUE(tree.underlying() == want) << n << " rev=" << rev;
+    }
   }
 }
 

@@ -401,47 +401,93 @@ TEST(ServiceRel, JoinBatchedHookMatchesSoloRuns) {
     rkeys.insert(rkeys.end(), s.rk.begin(), s.rk.end());
     shapes.push_back(s.shape);
   }
-  std::vector<dopar::obl::Elem> frame;
-  const std::vector<uint64_t> matched =
-      rt.join_batched(lkeys, rkeys, shapes, frame);
+  // Both plans: the recorded-network plan (network backend) and the
+  // segmented general plan (full-sort backend), each batched vs solo.
+  for (const char* backend : {"bitonic_ca", "osort"}) {
+    dopar::SortOptions o;
+    o.backend = backend;
+    std::vector<dopar::obl::Elem> frame;
+    const std::vector<uint64_t> matched =
+        rt.join_batched(lkeys, rkeys, shapes, frame, o);
 
-  size_t off = 0;
-  for (size_t si = 0; si < slots.size(); ++si) {
-    const Slot& s = slots[si];
-    // Solo run over index spans: rows are (left idx, right idx) pairs.
-    std::vector<uint64_t> li(s.lk.size()), ri(s.rk.size());
-    std::iota(li.begin(), li.end(), uint64_t{0});
-    std::iota(ri.begin(), ri.end(), uint64_t{0});
-    const auto lkey = [&](uint64_t i) { return s.lk[i]; };
-    const auto rkey = [&](uint64_t i) { return s.rk[i]; };
-    dopar::rel::JoinOptions jo;
-    jo.output_bound = s.shape.bound;
-    const JoinRes want =
-        s.shape.banded
-            ? rt.band_join(std::span<const uint64_t>(li), lkey,
-                           std::span<const uint64_t>(ri), rkey, s.shape.band,
-                           jo)
-            : rt.equi_join(std::span<const uint64_t>(li), lkey,
-                           std::span<const uint64_t>(ri), rkey, jo);
-    EXPECT_EQ(matched[si], want.matched) << "slot " << si;
-    std::vector<std::pair<uint64_t, uint64_t>> got;
-    for (size_t j = 0; j < s.shape.bound; ++j) {
-      const dopar::obl::Elem& e = frame[off + j];
-      if (e.flags & dopar::obl::Elem::kFiller) continue;
-      got.emplace_back(e.payload, e.aux);
+    size_t off = 0;
+    for (size_t si = 0; si < slots.size(); ++si) {
+      const Slot& s = slots[si];
+      // Solo run over index spans: rows are (left idx, right idx) pairs.
+      std::vector<uint64_t> li(s.lk.size()), ri(s.rk.size());
+      std::iota(li.begin(), li.end(), uint64_t{0});
+      std::iota(ri.begin(), ri.end(), uint64_t{0});
+      const auto lkey = [&](uint64_t i) { return s.lk[i]; };
+      const auto rkey = [&](uint64_t i) { return s.rk[i]; };
+      dopar::rel::JoinOptions jo;
+      jo.output_bound = s.shape.bound;
+      jo.sort = o;
+      const JoinRes want =
+          s.shape.banded
+              ? rt.band_join(std::span<const uint64_t>(li), lkey,
+                             std::span<const uint64_t>(ri), rkey,
+                             s.shape.band, jo)
+              : rt.equi_join(std::span<const uint64_t>(li), lkey,
+                             std::span<const uint64_t>(ri), rkey, jo);
+      EXPECT_EQ(matched[si], want.matched) << backend << " slot " << si;
+      std::vector<std::pair<uint64_t, uint64_t>> got;
+      for (size_t j = 0; j < s.shape.bound; ++j) {
+        const dopar::obl::Elem& e = frame[off + j];
+        if (e.flags & dopar::obl::Elem::kFiller) continue;
+        got.emplace_back(e.payload, e.aux);
+      }
+      off += s.shape.bound;
+      EXPECT_EQ(got, want.rows) << backend << " slot " << si;
     }
-    off += s.shape.bound;
-    EXPECT_EQ(got, want.rows) << "slot " << si;
+  }
+}
+
+TEST(ServiceRel, CoalescedJoinScheduleIndependentOfContents) {
+  // Obliviousness pin for the coalesced join path: on every network
+  // backend, one join_batched shape mixing equi and band slots leaves the
+  // same address trace whatever the tables hold — random keys, all-equal
+  // keys, or left and right key ranges that never meet.
+  const std::vector<dopar::rel::JoinSlot> shapes = {{20, 28, 64, false, 0},
+                                                    {24, 17, 40, true, 3},
+                                                    {9, 33, 100, false, 0},
+                                                    {16, 16, 256, true, 0}};
+  auto digest = [&](const std::string& backend, int contents) {
+    auto rt = dopar::Runtime::builder().trace().seed(3).backend(backend)
+                  .build();
+    std::vector<uint64_t> lkeys, rkeys;
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      const auto keys = [&](uint64_t tag, size_t n, uint64_t base) {
+        std::vector<uint64_t> k = rel_keys(100 * s + tag, n, 8);
+        for (uint64_t& v : k) v = contents == 1 ? 5 : base + v;
+        return k;
+      };
+      const auto l = keys(1, shapes[s].nl, 0);
+      const auto r = keys(2, shapes[s].nr, contents == 2 ? 1000 : 0);
+      lkeys.insert(lkeys.end(), l.begin(), l.end());
+      rkeys.insert(rkeys.end(), r.begin(), r.end());
+    }
+    std::vector<dopar::obl::Elem> frame;
+    (void)rt.join_batched(lkeys, rkeys, shapes, frame);
+    return rt.trace_digest();
+  };
+  for (const std::string& name : dopar::backend_names()) {
+    if (!dopar::make_backend(name)->is_network()) continue;
+    SCOPED_TRACE("backend=" + name);
+    const uint64_t d0 = digest(name, 0);
+    EXPECT_NE(d0, 0u);
+    EXPECT_EQ(d0, digest(name, 1));
+    EXPECT_EQ(d0, digest(name, 2));
   }
 }
 
 TEST(ServiceRel, EquiJoinFastPathAdversarialShapes) {
-  // All-equi batches take the recorded-network fast path inside
+  // Network backends run the recorded-network plan per slot inside
   // join_engine_batched; drive it over shapes chosen to stress every
   // routing primitive — all-duplicate keys (non-monotone gather ranks),
   // tight truncating bounds (frame prefix order), near-disjoint domains
   // (miss handling), single-row tables, and off-pow2 sizes — and require
-  // slot-for-slot equality with the solo pipeline.
+  // slot-for-slot equality with the solo pipeline and with the general
+  // plan.
   auto rt = make_rt(21);
   struct Shape {
     size_t nl, nr;
@@ -484,6 +530,11 @@ TEST(ServiceRel, EquiJoinFastPathAdversarialShapes) {
       const JoinRes want = rt.equi_join(std::span<const uint64_t>(li), lkey,
                                         std::span<const uint64_t>(ri), rkey,
                                         jo);
+      // The full-sort backend's general plan must agree byte for byte.
+      jo.sort.backend = "osort";
+      expect_join_eq(rt.equi_join(std::span<const uint64_t>(li), lkey,
+                                  std::span<const uint64_t>(ri), rkey, jo),
+                     want, "general plan vs recorded plan");
       EXPECT_EQ(matched[si], want.matched)
           << "round " << rd << " slot " << si;
       std::vector<std::pair<uint64_t, uint64_t>> got;
